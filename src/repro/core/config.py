@@ -72,12 +72,15 @@ class TrainingConfig:
         barrier_timeout: seconds before a missing rank at a step
             barrier / bucket rendezvous is declared failed.
         link_gbps: when set, each rank's encoded gradient upload
-            occupies a per-rank link of this rate in wall-clock time
-            (the bandwidth term of a ring allreduce); the threaded
-            engine's ranks transmit concurrently, hiding wire time
-            behind backward compute, while the sequential engine pays
-            every rank's wire time serially.  Pure ``time.sleep`` —
-            never affects the numerics.
+            occupies a per-rank FIFO link of this rate in wall-clock
+            time (the bandwidth term of a ring allreduce).  A rank
+            reserves its link the moment backward finishes a bucket
+            and keeps computing; the bucket's collective waits for the
+            bytes to arrive, so on the threaded and process engines
+            wire time hides behind the rank's own backward and a step
+            costs t_f + max(t_b, first-bucket latency + t_wire) + tail.
+            The sequential engine pays every rank's wire time
+            serially.  Wall-clock only — never affects the numerics.
         straggler_ranks / straggler_delay: inject a fixed delay (s)
             at the top of these ranks' compute phase every step.
         crash_rank / crash_step: the given rank crashes at the given

@@ -54,14 +54,18 @@ __all__ = [
 BACKEND_ORDER = ("numba", "cext", "numpy")
 
 _active = None
-_load_errors: dict[str, Exception] = {}
+#: backend name -> repr of the exception that kept it from loading
+_load_errors: dict[str, str] = {}
 
 
 def _try_load(name: str):
     try:
         return importlib.import_module(f"._{name}", __name__)
     except Exception as exc:  # missing dep / no compiler / build failure
-        _load_errors[name] = exc
+        # only the text: the exception's traceback would pin every frame
+        # of whoever first asked for a kernel -- mid-exchange, that is
+        # the process engine's shared-memory gradient views
+        _load_errors[name] = repr(exc)
         return None
 
 
@@ -77,7 +81,7 @@ def _select():
         if module is None:
             raise RuntimeError(
                 f"REPRO_KERNELS={forced!r} requested but the backend "
-                f"failed to load: {_load_errors[forced]!r}"
+                f"failed to load: {_load_errors[forced]}"
             )
         return module
     for name in BACKEND_ORDER:
@@ -121,7 +125,7 @@ def set_backend(name: str) -> str:
     if module is None:
         raise RuntimeError(
             f"kernel backend {name!r} is not available here: "
-            f"{_load_errors[name]!r}"
+            f"{_load_errors[name]}"
         )
     previous = backend_name()
     _active = module

@@ -15,14 +15,26 @@ trajectory:
   module; registered here by name).
 
 A paced interconnect (``TrainingConfig.link_gbps``) models each rank
-shipping its encoded gradient contribution over its own link, bucket
-by bucket, as soon as the bucket's last gradient lands — the
-bandwidth term of a ring allreduce.  The sequential engine pays every
-rank's wire time serially after that rank's compute; the threaded
-engine's ranks transmit concurrently, hiding wire time behind the
-other ranks' backward work exactly as the paper's DAG model predicts.
-Wire time is wall-clock only (``time.sleep``) and never touches the
-numerics, so pacing cannot break engine parity.
+shipping its encoded gradient contribution over its own link — the
+bandwidth term of a ring allreduce.  Each link is a FIFO resource on a
+virtual clock (:class:`~repro.runtime.link.LinkClock`): when a
+bucket's last gradient lands the rank *reserves* its link for the
+bucket's bytes (queued behind its earlier buckets), announces the
+bucket and goes straight back to backward; the collective for a bucket
+runs only once every live rank's upload of it has arrived, the
+coordinator sleeping out the remainder.  This is wait-free
+backpropagation: wire time hides behind the rank's own backward and
+behind the exchange of earlier buckets, and only the non-overlapped
+tail reaches the step, whose floor is
+
+    t_f + max(t_b, first-bucket latency + t_wire) + tail
+
+(forward; backward against the time to the first ready bucket plus one
+rank's whole wire time; the last bucket's exchange and the apply).
+The sequential engine reserves a rank's whole payload after that
+rank's compute and waits for it, so it pays every rank's wire time
+serially — the no-overlap reference.  Wire time is wall-clock only and
+never touches the numerics, so pacing cannot break engine parity.
 
 Bit-identity between the engines holds for every scheme × exchange
 combination because (1) each rank's compute is the same code on the
@@ -64,6 +76,7 @@ from .faults import (
     WorkerFailure,
     WorkerFailureError,
 )
+from .link import BucketUploads, LinkClock, sleep_until
 from .resilience import AttemptFailure, RetryPolicy, TopologyChange
 from .worker import (
     LossFn,
@@ -288,11 +301,9 @@ class ExecutionEngine(abc.ABC):
                 )
         step_engine.advance_round()
 
-    def _pace_transmit(self, nbytes: int, rank: int = 0) -> None:
-        """Occupy one rank's link for ``nbytes`` of encoded gradient."""
-        if self._link_bytes_per_s is not None and nbytes > 0:
-            with self.tracer.span("transfer", rank):
-                time.sleep(nbytes / self._link_bytes_per_s)
+    def _open_link(self, rank: int) -> LinkClock:
+        """A fresh link for one rank's uploads of one step attempt."""
+        return LinkClock(self._link_bytes_per_s, self.tracer, rank)
 
     def _timed_wait(self, waiter, track: int):
         """Run one blocking rendezvous wait, traced as barrier time.
@@ -560,8 +571,10 @@ class SequentialEngine(ExecutionEngine):
             # one thread, one timeline: this rank's upload cannot
             # overlap anything (skipped round steps put nothing on
             # the wire)
-            if sync:
-                self._pace_transmit(self.per_rank_payload_nbytes, rank)
+            if sync and self._link_bytes_per_s is not None:
+                link = self._open_link(rank)
+                link.reserve(self.per_rank_payload_nbytes)
+                link.drain()
         # all failure-capable phases are over: from here the attempt
         # cannot raise, so replica mutation is safe in every round mode
         if local:
@@ -593,20 +606,22 @@ class _StepContext:
         tracker: BucketReadiness,
         grad_scales: dict[int, float] | None = None,
         participants: list[int] | tuple[int, ...] = (),
-        sync: bool = True,
+        uploads: dict[int, BucketUploads] | None = None,
     ):
         self.step = step
         self.shards = shards
         self.tracker = tracker
         self.grad_scales = grad_scales or {}
+        # per-rank paced uploads of this attempt (empty: free wire, or
+        # a skipped round step that puts nothing on it)
+        self.uploads = uploads or {}
         self.aggregated: dict[str, np.ndarray] = {}
         self.apply_ready = threading.Event()
         self.abort = False
-        # periodic synchronization: sync=False steps pace no transfers,
-        # and skip_apply tells workers the coordinator already settled
-        # this step's replica state (accumulated grads or local-SGD
-        # applies/installs), so their apply phase is a no-op
-        self.sync = sync
+        # periodic synchronization: skip_apply tells workers the
+        # coordinator already settled this step's replica state
+        # (accumulated grads or local-SGD applies/installs), so their
+        # apply phase is a no-op
         self.skip_apply = False
         # drain tracking: each participant marks itself done when it is
         # fully out of this step (applied, aborted, or crashed), so the
@@ -626,6 +641,13 @@ class _StepContext:
     def wait_done(self, timeout: float | None = None) -> bool:
         return self._done.wait(timeout)
 
+    def arrival_ns(self, bucket_index: int) -> int:
+        """When the last rank's upload of this bucket lands (0: unpaced)."""
+        return max(
+            (up.arrivals[bucket_index] for up in self.uploads.values()),
+            default=0,
+        )
+
 
 class ThreadedEngine(ExecutionEngine):
     """Thread-per-rank engine with overlapped bucketed exchange.
@@ -633,8 +655,9 @@ class ThreadedEngine(ExecutionEngine):
     Per step: worker threads run forward/backward on their shard,
     announcing gradient readiness layer by layer; the coordinator
     (the caller's thread) walks buckets in fixed order, running each
-    collective as soon as its last gradient lands — overlapping
-    communication with the remaining backward work.  All parties then
+    collective as soon as its last gradient has landed and, on a paced
+    link, arrived — overlapping communication with the remaining
+    backward work.  All parties then
     meet at a reusable :class:`StepBarrier`; a rank that crashes or
     exceeds ``config.barrier_timeout`` is surfaced as a structured
     :class:`WorkerFailure` instead of a hang.
@@ -678,15 +701,14 @@ class ThreadedEngine(ExecutionEngine):
                         rank, ctx.step, tracer.counter_sink
                     )
                     shard_x, shard_y = ctx.shards[rank]
-                    # bucket transfers run inside the readiness hook,
-                    # so on this engine transfer spans nest within the
-                    # compute span (the overlap the engine exists to
-                    # create)
+                    # the readiness hook reserves the rank's link, so
+                    # on this engine transfer spans overlap the compute
+                    # span (the overlap the engine exists to create)
                     with tracer.span("compute", rank):
                         worker.compute(
                             shard_x,
                             shard_y,
-                            on_ready=self._paced_hook(rank, ctx),
+                            on_ready=self._ready_hook(rank, ctx),
                             grad_scale=ctx.grad_scales.get(rank),
                         )
                 except BaseException as exc:  # noqa: BLE001 - to main
@@ -708,27 +730,21 @@ class ThreadedEngine(ExecutionEngine):
             finally:
                 ctx.mark_done(rank)
 
-    def _paced_hook(self, rank: int, ctx: _StepContext):
-        """Per-step readiness hook: transmit a bucket, then announce it.
+    def _ready_hook(self, rank: int, ctx: _StepContext):
+        """Per-step readiness hook: reserve the link, then announce.
 
-        Each completed bucket occupies this rank's link before its
-        arrival is announced to the coordinator — ``time.sleep``
-        releases the GIL, so the other ranks' backward runs underneath
-        the transfer.
+        A completed bucket is queued on this rank's link *before* the
+        coordinator hears of it, so the coordinator always finds the
+        bucket's arrival time; the hook never blocks, and the rank is
+        back in backward while the bytes are on the wire.
         """
         tracker = ctx.tracker
-        if self._link_bytes_per_s is None or not ctx.sync:
+        uploads = ctx.uploads.get(rank)
+        if uploads is None:
             return lambda names: tracker.mark_ready(rank, names)
-        owed = {
-            bucket.index: len(bucket.names) for bucket in self.buckets
-        }
 
         def on_ready(names):
-            for name in names:
-                index = self._bucket_of_name[name]
-                owed[index] -= 1
-                if owed[index] == 0:
-                    self._pace_transmit(self.bucket_tx_nbytes[index], rank)
+            uploads(names)
             tracker.mark_ready(rank, names)
 
         return on_ready
@@ -753,7 +769,7 @@ class ThreadedEngine(ExecutionEngine):
             ),
             grad_scales=self._grad_scales(shards),
             participants=self.live_ranks,
-            sync=sync,
+            uploads=self._open_uploads() if sync else None,
         )
         self._active_ctx = ctx
         for rank in self.live_ranks:
@@ -761,9 +777,7 @@ class ThreadedEngine(ExecutionEngine):
         try:
             for bucket in self.buckets:
                 dead = self._timed_wait(
-                    lambda: ctx.tracker.wait(
-                        bucket.index, timeout=self.config.barrier_timeout
-                    ),
+                    lambda: self._await_bucket(ctx, bucket.index),
                     COORDINATOR,
                 )
                 if dead:
@@ -820,6 +834,26 @@ class ThreadedEngine(ExecutionEngine):
                 failure, retryable=False, committed=True
             ) from timeout
         return self._collect_metrics()
+
+    def _open_uploads(self) -> dict[int, BucketUploads]:
+        """One fresh paced link per live rank (none on a free wire)."""
+        if self._link_bytes_per_s is None:
+            return {}
+        return {
+            rank: BucketUploads(
+                self._open_link(rank),
+                self._bucket_of_name,
+                self.bucket_tx_nbytes,
+            )
+            for rank in self.live_ranks
+        }
+
+    def _await_bucket(self, ctx: _StepContext, index: int) -> frozenset[int]:
+        """Wait for one bucket's gradients, then for its bytes to arrive."""
+        dead = ctx.tracker.wait(index, timeout=self.config.barrier_timeout)
+        if not dead:
+            sleep_until(ctx.arrival_ns(index))
+        return dead
 
     def _raise_worker_errors(self, ctx: _StepContext, dead: list[int]) -> None:
         """Convert dead-rank state into the right exception."""

@@ -38,6 +38,12 @@ the rank from its shadow (parameters, momentum, RNG streams — all
 pre-step, since shadows only advance on success) and replays the step.
 Eviction reshards the survivors through the shared base-class path.
 
+On a paced link (``TrainingConfig.link_gbps``) each worker reserves
+its own :class:`~repro.runtime.link.LinkClock` bucket by bucket from
+its backward's readiness hook and sleeps out only the residual before
+announcing its gradients, so a rank's wire time hides behind its own
+backward.
+
 Per-process tracers record compute/transfer spans on the worker side
 and ship them back with each control message; the coordinator merges
 them into its tracer, so a traced run yields one Chrome-trace track
@@ -51,6 +57,7 @@ losses are).
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import multiprocessing
 import os
@@ -65,6 +72,7 @@ from ..telemetry.tracer import COORDINATOR, NULL_TRACER, TraceEvent, Tracer
 from ..units import gbps_to_bytes_per_second
 from .engine import ExecutionEngine
 from .faults import FaultPlan, InjectedCrash, WorkerFailure, WorkerFailureError
+from .link import BucketUploads, LinkClock
 from .resilience import AttemptFailure
 from .shm import GradientArena, arena_slots
 from .worker import (
@@ -188,7 +196,8 @@ def _child_main(
     lr: float,
     config,
     loss_fn: LossFn,
-    payload_nbytes: int,
+    bucket_of_name: dict,
+    bucket_nbytes: dict,
     trace_enabled: bool,
     kills_fired: frozenset,
 ) -> None:  # pragma: no cover - runs in spawned worker processes
@@ -197,7 +206,7 @@ def _child_main(
     try:
         _serve(
             rank, conn, arena, model, velocity, lr, config, loss_fn,
-            payload_nbytes, trace_enabled, kills_fired,
+            bucket_of_name, bucket_nbytes, trace_enabled, kills_fired,
         )
     except (EOFError, OSError, KeyboardInterrupt):
         pass
@@ -208,7 +217,7 @@ def _child_main(
 
 def _serve(
     rank, conn, arena, model, velocity, lr, config, loss_fn,
-    payload_nbytes, trace_enabled, kills_fired,
+    bucket_of_name, bucket_nbytes, trace_enabled, kills_fired,
 ) -> None:  # pragma: no cover - runs in spawned worker processes
     worker = RankWorker(
         rank,
@@ -253,7 +262,10 @@ def _serve(
         step, shard_x, shard_y, scale = msg[1], msg[2], msg[3], msg[4]
         # periodic synchronization: skipped round steps exchange nothing,
         # so their uploads are never paced
-        sync = msg[5]
+        link = uploads = None
+        if msg[5] and link_rate is not None:
+            link = LinkClock(link_rate, tracer, rank)
+            uploads = BucketUploads(link, bucket_of_name, bucket_nbytes)
         pre_step = [
             copy.deepcopy(gen.bit_generator.state) for gen in generators
         ]
@@ -264,7 +276,9 @@ def _serve(
                 os.kill(os.getpid(), signal.SIGKILL)
             plan.inject(rank, step, tracer.counter_sink)
             with tracer.span("compute", rank):
-                worker.compute(shard_x, shard_y, grad_scale=scale)
+                worker.compute(
+                    shard_x, shard_y, on_ready=uploads, grad_scale=scale
+                )
         except InjectedCrash as exc:
             _rollback_rngs(generators, pre_step)
             spans, stall = _drain_telemetry(tracer)
@@ -276,11 +290,10 @@ def _serve(
             continue
         for param in worker.parameters:
             np.copyto(grad_views[param.name], param.grad)
-        if sync and link_rate is not None and payload_nbytes > 0:
-            # per-rank paced upload: every worker sleeps its own wire
-            # time concurrently, which is what hides it
-            with tracer.span("transfer", rank):
-                time.sleep(payload_nbytes / link_rate)
+        if link is not None:
+            # every bucket was queued on the link as backward produced
+            # it; only the wire time backward did not cover is left
+            link.drain()
         states = [
             copy.deepcopy(gen.bit_generator.state) for gen in generators
         ]
@@ -328,6 +341,31 @@ def _serve(
 
 
 # -- coordinator side -------------------------------------------------------
+
+#: thread-count variables the BLAS/OpenMP runtimes read when they load
+_BLAS_THREAD_VARS = (
+    "OPENBLAS_NUM_THREADS",
+    "OMP_NUM_THREADS",
+    "MKL_NUM_THREADS",
+)
+
+
+@contextlib.contextmanager
+def _one_blas_thread_per_rank():
+    """Environment a rank is spawned into: one BLAS thread by default.
+
+    The ranks are this engine's unit of parallelism; K ranks that each
+    start a BLAS pool sized to the whole machine oversubscribe it.  A
+    value the user set is inherited untouched.
+    """
+    added = [var for var in _BLAS_THREAD_VARS if var not in os.environ]
+    for var in added:
+        os.environ[var] = "1"
+    try:
+        yield
+    finally:
+        for var in added:
+            del os.environ[var]
 
 
 class ProcessEngine(ExecutionEngine):
@@ -400,14 +438,16 @@ class ProcessEngine(ExecutionEngine):
                 shadow.optimizer.lr,
                 self._child_config,
                 self._loss_fn,
-                self.per_rank_payload_nbytes,
+                self._bucket_of_name,
+                self.bucket_tx_nbytes,
                 self.tracer.enabled,
                 frozenset(self._kills_fired),
             ),
             name=f"repro-rank-{rank}",
             daemon=True,
         )
-        proc.start()
+        with _one_blas_thread_per_rank():
+            proc.start()
         child_conn.close()
         self._procs[rank] = proc
         self._conns[rank] = parent_conn

@@ -147,12 +147,16 @@ class GradientArena:
         if self._closed:
             return
         self._closed = True
-        self._shm.close()
-        if self._owner:
-            try:
-                self._shm.unlink()
-            except FileNotFoundError:  # pragma: no cover - already gone
-                pass
+        try:
+            self._shm.close()
+        finally:
+            # a view that outlived the arena makes close() raise; the
+            # segment must still not outlive its owner
+            if self._owner:
+                try:
+                    self._shm.unlink()
+                except FileNotFoundError:  # pragma: no cover - already gone
+                    pass
 
     def __del__(self) -> None:  # pragma: no cover - GC best effort
         try:

@@ -28,7 +28,12 @@ passing a tracer through the config::
 """
 
 from .crossval import CrossValidation, RatioRow, cross_validate
-from .export import PhaseBreakdown, chrome_trace, write_chrome_trace
+from .export import (
+    PhaseBreakdown,
+    chrome_trace,
+    exposed_transfer_seconds,
+    write_chrome_trace,
+)
 from .tracer import (
     COORDINATOR,
     NULL_TRACER,
@@ -49,6 +54,7 @@ __all__ = [
     "Tracer",
     "PhaseBreakdown",
     "chrome_trace",
+    "exposed_transfer_seconds",
     "write_chrome_trace",
     "CrossValidation",
     "RatioRow",

@@ -10,18 +10,23 @@ Two consumers of a recorded :class:`~repro.telemetry.tracer.Tracer`:
   mirroring the paper's stacked-bar epoch-time figures (compute vs
   encode vs transfer vs decode), with an explicit ``other`` bucket for
   un-traced step work so the rows always sum to the measured wall time.
+* :func:`exposed_transfer_seconds` — how much of the traced wire time
+  was *not* hidden behind the sending rank's own compute: the measured
+  non-overlapped communication term (t_c^no of arXiv:1711.05979).
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import Iterable
 
-from .tracer import COORDINATOR, PHASES, Tracer
+from .tracer import COORDINATOR, PHASES, TraceEvent, Tracer
 
 __all__ = [
     "chrome_trace",
     "write_chrome_trace",
+    "exposed_transfer_seconds",
     "PhaseBreakdown",
 ]
 
@@ -94,6 +99,40 @@ def write_chrome_trace(tracer: Tracer, path: str) -> None:
         fh.write("\n")
 
 
+def exposed_transfer_seconds(
+    events: Iterable[TraceEvent],
+) -> tuple[float, float]:
+    """``(exposed, total)`` seconds of the ``transfer`` spans.
+
+    A transfer interval is *exposed* where no ``compute`` span of the
+    same track covers it; summed over tracks this is the wire time the
+    ranks' own compute did not hide.
+    """
+    compute: dict[int, list[tuple[int, int]]] = {}
+    transfers: list[TraceEvent] = []
+    for event in events:
+        if event.name == "compute":
+            compute.setdefault(event.track, []).append(
+                (event.start_ns, event.start_ns + event.duration_ns)
+            )
+        elif event.name == "transfer":
+            transfers.append(event)
+    for spans in compute.values():
+        spans.sort()
+    total_ns = hidden_ns = 0
+    for event in transfers:
+        start, end = event.start_ns, event.start_ns + event.duration_ns
+        total_ns += end - start
+        # walk the track's compute spans in time order; ``start`` moves
+        # past each one so overlapping spans are not counted twice
+        for c_start, c_end in compute.get(event.track, ()):
+            lo, hi = max(start, c_start), min(end, c_end)
+            if hi > lo:
+                hidden_ns += hi - lo
+                start = hi
+    return (total_ns - hidden_ns) / 1e9, total_ns / 1e9
+
+
 @dataclass
 class PhaseBreakdown:
     """Per-phase seconds of one measured run (the paper's figure unit).
@@ -102,11 +141,15 @@ class PhaseBreakdown:
         label: cell label, e.g. ``"qsgd4/nccl/4gpu"``.
         wall_seconds: measured wall time the phases decompose.
         phase_seconds: traced busy seconds per canonical phase name.
+        exposed_transfer_seconds: the part of the ``transfer`` seconds
+            no compute of the sending rank covered (``None`` when the
+            breakdown was built without the spans themselves).
     """
 
     label: str
     wall_seconds: float
     phase_seconds: dict[str, float] = field(default_factory=dict)
+    exposed_transfer_seconds: float | None = None
 
     @property
     def traced_seconds(self) -> float:
@@ -150,6 +193,9 @@ class PhaseBreakdown:
             phase_seconds={
                 name: phases.get(name, 0.0) for name in PHASES
             },
+            exposed_transfer_seconds=exposed_transfer_seconds(
+                tracer.events()
+            )[0],
         )
 
     @classmethod
@@ -177,4 +223,11 @@ class PhaseBreakdown:
             f"  {'total':9s} {total:9.4f} s  (wall "
             f"{self.wall_seconds:.4f} s)"
         )
+        transfer = self.phase_seconds.get("transfer", 0.0)
+        if self.exposed_transfer_seconds is not None and transfer > 0:
+            lines.append(
+                f"  transfer exposed {self.exposed_transfer_seconds:.4f} s "
+                f"of {transfer:.4f} s "
+                "(the rest hid behind the sending rank's compute)"
+            )
         return "\n".join(lines)

@@ -460,6 +460,82 @@ class TestProcessEngineResilience:
         assert all(np.all(np.isfinite(w)) for w in weights)
 
 
+class TestProcessEngineCloseWithoutFit:
+    @pytest.mark.parametrize("scheme", ["1bit", "qsgd4"])
+    def test_close_is_clean_and_unlinks_the_arena(
+        self, dataset, monkeypatch, scheme
+    ):
+        from repro.quantization import kernels
+
+        # as in a fresh interpreter that never ran fit(): the kernel
+        # backend is selected (and a missing backend's load error is
+        # recorded) inside the first exchange, with the arena's gradient
+        # views on the stack
+        monkeypatch.setattr(kernels, "_active", None)
+        monkeypatch.setattr(kernels, "_load_errors", {})
+        config = TrainingConfig(
+            scheme=scheme,
+            exchange="mpi",
+            world_size=2,
+            batch_size=16,
+            seed=3,
+            engine="process",
+        )
+        model = tiny_alexnet(num_classes=4, image_size=8, seed=1)
+        trainer = ParallelTrainer(model, config)
+        try:
+            trainer.train_step(dataset.train_x[:16], dataset.train_y[:16])
+            trainer.train_epoch(dataset.train_x, dataset.train_y)
+            segment = trainer.engine._arena.name.lstrip("/")
+            assert os.path.exists(f"/dev/shm/{segment}")
+        finally:
+            trainer.close()  # raised BufferError while a view was pinned
+        assert not os.path.exists(f"/dev/shm/{segment}")
+
+
+def _report_blas_threads(logits, labels):
+    """A 'loss' that reports the rank's BLAS environment to the parent."""
+    raise RuntimeError(
+        ",".join(os.environ.get(var, "unset") for var in BLAS_THREAD_VARS)
+    )
+
+
+BLAS_THREAD_VARS = (
+    "OPENBLAS_NUM_THREADS",
+    "OMP_NUM_THREADS",
+    "MKL_NUM_THREADS",
+)
+
+
+class TestProcessEngineBlasThreads:
+    def spawned_rank_environment(self, dataset):
+        config = TrainingConfig(
+            scheme="32bit", world_size=2, batch_size=16, engine="process"
+        )
+        model = tiny_alexnet(num_classes=4, image_size=8, seed=1)
+        with ParallelTrainer(
+            model, config, loss_fn=_report_blas_threads
+        ) as trainer:
+            with pytest.raises(RuntimeError) as caught:
+                trainer.train_step(
+                    dataset.train_x[:16], dataset.train_y[:16]
+                )
+        return str(caught.value)
+
+    def test_ranks_default_to_one_blas_thread(self, dataset, monkeypatch):
+        for var in BLAS_THREAD_VARS:
+            monkeypatch.delenv(var, raising=False)
+        assert self.spawned_rank_environment(dataset) == "1,1,1"
+        # the parent's own environment is left as it was
+        assert not any(var in os.environ for var in BLAS_THREAD_VARS)
+
+    def test_a_value_the_user_set_wins(self, dataset, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+        monkeypatch.setenv("OMP_NUM_THREADS", "2")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        assert self.spawned_rank_environment(dataset) == "3,2,1"
+
+
 class TestProcessEngineTelemetry:
     def test_worker_spans_merge_into_per_rank_tracks(self, dataset):
         tracer = Tracer()

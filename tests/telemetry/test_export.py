@@ -5,7 +5,13 @@ import json
 import pytest
 
 from repro.core import EpochMetrics, History
-from repro.telemetry import PhaseBreakdown, Tracer, write_chrome_trace
+from repro.telemetry import (
+    PhaseBreakdown,
+    TraceEvent,
+    Tracer,
+    exposed_transfer_seconds,
+    write_chrome_trace,
+)
 from repro.telemetry.export import chrome_trace
 from repro.telemetry.tracer import COORDINATOR
 
@@ -138,3 +144,53 @@ class TestPhaseBreakdown:
         assert breakdown.wall_seconds == pytest.approx(4.0)
         assert breakdown.phase_seconds["compute"] == pytest.approx(2.0)
         assert breakdown.phase_seconds["encode"] == pytest.approx(0.5)
+
+
+def _span(name, track, start_ms, end_ms):
+    return TraceEvent(
+        name, track, start_ms * 1_000_000, (end_ms - start_ms) * 1_000_000
+    )
+
+
+class TestExposedTransfer:
+    def test_only_the_sending_ranks_compute_hides_a_transfer(self):
+        events = [
+            _span("compute", 0, 0, 10),
+            _span("transfer", 0, 4, 12),  # 6 ms under compute, 2 exposed
+            _span("transfer", 0, 12, 15),  # wholly exposed
+            _span("compute", 1, 0, 20),
+            _span("transfer", 1, 5, 9),  # wholly hidden
+            _span("barrier", 0, 10, 15),  # waiting hides nothing
+        ]
+        exposed, total = exposed_transfer_seconds(events)
+        assert total == pytest.approx(0.015)
+        assert exposed == pytest.approx(0.005)
+
+    def test_overlapping_compute_spans_are_not_counted_twice(self):
+        events = [
+            _span("compute", 0, 0, 10),
+            _span("compute", 0, 5, 15),
+            _span("compute", 0, 2, 4),
+            _span("transfer", 0, 0, 20),
+        ]
+        assert exposed_transfer_seconds(events) == (
+            pytest.approx(0.005),
+            pytest.approx(0.020),
+        )
+
+    def test_no_transfers_is_zero_of_zero(self):
+        assert exposed_transfer_seconds([_span("compute", 0, 0, 1)]) == (
+            0.0,
+            0.0,
+        )
+
+    def test_report_prints_the_line_only_for_traced_transfers(self):
+        tracer = Tracer()
+        tracer.record(_span("compute", 0, 0, 10))
+        tracer.record(_span("transfer", 0, 5, 15))
+        report = PhaseBreakdown.from_tracer(tracer, wall_seconds=0.015).report()
+        assert "transfer exposed 0.0050 s of 0.0100 s" in report.splitlines()[-1]
+        from_totals = PhaseBreakdown("cell", 1.0, {"transfer": 0.5})
+        assert "transfer exposed" not in from_totals.report()
+        unpaced = PhaseBreakdown.from_tracer(traced_tracer(), 1.0)
+        assert "transfer exposed" not in unpaced.report()
