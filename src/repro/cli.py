@@ -6,9 +6,8 @@ Commands:
 * ``run <exp-id>...`` — regenerate specific tables/figures;
 * ``train`` — train a zoo model end-to-end on synthetic data, with
   ``--engine sequential|threaded|process`` selecting the execution
-  engine (``--ipc shm`` picks the process engine's transport),
-  optional straggler/crash fault injection, retry/degradation policy
-  (``--max-retries``, ``--allow-degraded``), and periodic
+  engine, optional straggler/crash fault injection, retry/degradation
+  policy (``--max-retries``, ``--allow-degraded``), and periodic
   checkpointing (``--checkpoint-dir``);
 * ``resume`` — continue a ``train`` run from a checkpoint file (or the
   latest checkpoint in a directory), bit-identically: the resumed
@@ -36,24 +35,19 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
-from .comm import EXCHANGE_NAMES
 from .core import (
-    IPC_NAMES,
-    POLICY_NAMES,
-    CheckpointPolicy,
     ParallelTrainer,
+    RunSpec,
     TrainingCheckpoint,
     TrainingConfig,
     latest_checkpoint,
 )
-from .data import make_image_dataset, make_sequence_dataset
+from .core.runspec import add_run_arguments, argparse_type
 from .fabric import PATTERN_NAMES, TOPOLOGY_NAMES
-from .models import MODEL_BUILDERS, build_model
 from .models.specs import NETWORKS
-from .quantization import SCHEME_NAMES
+from .quantization import validate_scheme
 from .runtime import ENGINE_NAMES
 from .serve.queue import QUEUE_NAMES
 from .serve.scheduler import SCHEDULER_NAMES
@@ -93,28 +87,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _build_train_model(args: argparse.Namespace):
-    if args.model == "lstm":
-        return build_model(args.model, num_classes=args.classes,
-                           seed=args.model_seed)
-    if args.model in ("alexnet", "vgg"):
-        return build_model(args.model, num_classes=args.classes,
-                           image_size=args.image_size, seed=args.model_seed)
-    return build_model(args.model, num_classes=args.classes,
-                       seed=args.model_seed)
-
-
-def _make_train_dataset(args: argparse.Namespace, config: TrainingConfig):
-    if args.model == "lstm":
-        return make_sequence_dataset(
-            num_classes=args.classes, train_samples=args.train_samples,
-            test_samples=args.test_samples, seed=config.seed,
+def _print_failures(history) -> bool:
+    """Report a run's structured failures on stderr; whether it had any."""
+    for failure in history.failures:
+        print(
+            f"FAILED: rank {failure.rank} {failure.kind} at step "
+            f"{failure.step}: {failure.message}",
+            file=sys.stderr,
         )
-    return make_image_dataset(
-        num_classes=args.classes, train_samples=args.train_samples,
-        test_samples=args.test_samples, image_size=args.image_size,
-        seed=config.seed,
-    )
+    return bool(history.failures)
 
 
 def _report_run(config: TrainingConfig, history) -> int:
@@ -126,13 +107,7 @@ def _report_run(config: TrainingConfig, history) -> int:
             f"after {change.retries} retries ({change.kind}); "
             f"continuing on ranks [{survivors}]"
         )
-    if history.failures:
-        for failure in history.failures:
-            print(
-                f"FAILED: rank {failure.rank} {failure.kind} at step "
-                f"{failure.step}: {failure.message}",
-                file=sys.stderr,
-            )
+    if _print_failures(history):
         return 1
     total_mb = history.total_comm_bytes / 1e6
     print(
@@ -143,84 +118,18 @@ def _report_run(config: TrainingConfig, history) -> int:
     return 0
 
 
-def _checkpoint_policy(
-    args: argparse.Namespace, extra: dict
-) -> CheckpointPolicy | None:
-    if args.checkpoint_dir is None:
-        return None
-    return CheckpointPolicy(
-        directory=args.checkpoint_dir,
-        every_steps=args.checkpoint_every_steps,
-        every_epochs=args.checkpoint_every_epochs,
-        extra=extra,
-    )
-
-
-def _parse_kill_points(values: list[str]) -> tuple[tuple[int, int], ...]:
-    points = []
-    for value in values:
-        try:
-            rank, step = value.split(":", 1)
-            points.append((int(rank), int(step)))
-        except ValueError:
-            raise ValueError(
-                f"--kill-point must be RANK:STEP (e.g. 1:6), got {value!r}"
-            ) from None
-    return tuple(points)
-
-
 def _cmd_train(args: argparse.Namespace) -> int:
     try:
-        config = TrainingConfig(
-            scheme=args.scheme,
-            policy=args.policy,
-            exchange=args.exchange,
-            world_size=args.world_size,
-            batch_size=args.batch_size,
-            lr=args.lr,
-            momentum=args.momentum,
-            seed=args.seed,
-            aggregation_frequency=args.aggregation_frequency,
-            sync_mode=args.sync_mode,
-            engine=args.engine,
-            ipc=args.ipc,
-            link_gbps=args.link_gbps,
-            barrier_timeout=args.barrier_timeout,
-            straggler_ranks=tuple(args.straggler_ranks),
-            straggler_delay=args.straggler_delay,
-            crash_rank=args.crash_rank,
-            crash_step=args.crash_step,
-            crash_transient=args.crash_transient,
-            kill_points=_parse_kill_points(args.kill_point),
-            max_retries=args.max_retries,
-            retry_backoff=args.retry_backoff,
-            allow_degraded=args.allow_degraded,
-            min_world_size=args.min_world_size,
-        )
-        policy = _checkpoint_policy(
-            args,
-            extra={
-                "model": args.model,
-                "model_seed": args.model_seed,
-                "classes": args.classes,
-                "image_size": args.image_size,
-                "train_samples": args.train_samples,
-                "test_samples": args.test_samples,
-                "epochs": args.epochs,
-                "checkpoint_every_steps": args.checkpoint_every_steps,
-                "checkpoint_every_epochs": args.checkpoint_every_epochs,
-            },
+        spec = RunSpec.from_flat(vars(args), "train")
+        policy = (
+            None if args.checkpoint_dir is None
+            else spec.checkpoint_policy(args.checkpoint_dir)
         )
     except ValueError as exc:
         print(f"repro train: error: {exc}", file=sys.stderr)
         return 2
-    ds = _make_train_dataset(args, config)
-    with ParallelTrainer(_build_train_model(args), config) as trainer:
-        history = trainer.fit(
-            ds.train_x, ds.train_y, ds.test_x, ds.test_y,
-            epochs=args.epochs, verbose=True, checkpoint=policy,
-        )
-    return _report_run(config, history)
+    history = spec.run(verbose=True, checkpoint=policy)
+    return _report_run(spec.config, history)
 
 
 def _cmd_resume(args: argparse.Namespace) -> int:
@@ -236,111 +145,34 @@ def _cmd_resume(args: argparse.Namespace) -> int:
         path = found
     try:
         ckpt = TrainingCheckpoint.load(path)
+        spec = RunSpec.from_checkpoint(
+            ckpt, keep_faults=args.keep_faults, engine=args.engine,
+            epochs=args.epochs,
+        )
     except (OSError, ValueError, KeyError) as exc:
         print(f"repro resume: error: {exc}", file=sys.stderr)
         return 2
-    config = ckpt.config
-    if not args.keep_faults:
-        # the fault that killed the original run is not re-injected —
-        # resuming past it is the whole point
-        config = replace(
-            config, crash_rank=None, crash_step=None, straggler_ranks=(),
-            straggler_delay=0.0, kill_points=(),
-        )
-    if args.engine is not None:
-        config = replace(config, engine=args.engine)
-    extra = ckpt.meta.get("extra", {})
-    if not extra:
-        print(
-            "repro resume: error: checkpoint has no model/dataset "
-            "metadata (was it written by `repro train`?)",
-            file=sys.stderr,
-        )
-        return 2
-    epochs = args.epochs if args.epochs is not None else extra["epochs"]
-    model_args = argparse.Namespace(
-        model=extra["model"],
-        model_seed=extra["model_seed"],
-        classes=extra["classes"],
-        image_size=extra["image_size"],
-        train_samples=extra["train_samples"],
-        test_samples=extra["test_samples"],
-    )
-    policy = CheckpointPolicy(
-        directory=path.parent,
-        every_steps=extra.get("checkpoint_every_steps"),
-        every_epochs=extra.get("checkpoint_every_epochs", 1),
-        extra=extra,
-    )
+    config = spec.config
     print(
         f"resuming {config.label}/{config.engine} from {path} "
         f"(step {ckpt.step}, epoch {ckpt.epoch}, "
         f"{ckpt.batches_done} batches in)"
     )
-    ds = _make_train_dataset(model_args, config)
-    with ParallelTrainer(_build_train_model(model_args), config) as trainer:
-        history = trainer.fit(
-            ds.train_x, ds.train_y, ds.test_x, ds.test_y,
-            epochs=epochs, verbose=True, checkpoint=policy,
-            resume_from=ckpt,
-        )
+    policy = spec.checkpoint_policy(path.parent)
+    history = spec.run(verbose=True, checkpoint=policy, resume_from=ckpt)
     return _report_run(config, history)
-
-
-#: CLI scheme families accepted by ``repro trace``; "qsgd" composes
-#: with ``--bits`` into the internal scheme name (e.g. qsgd4)
-_TRACE_SCHEMES = ("32bit", "qsgd", "1bit", "1bit*")
-
-
-def _resolve_trace_scheme(scheme: str, bits: int | None) -> str:
-    """Map the trace CLI's (--scheme, --bits) pair to a scheme name."""
-    if scheme == "qsgd":
-        if bits is None:
-            raise ValueError("--scheme qsgd requires --bits (2, 4, 8 or 16)")
-        name = f"qsgd{bits}"
-        if name not in SCHEME_NAMES:
-            raise ValueError(
-                f"unsupported --bits {bits} for qsgd; expected one of "
-                "2, 4, 8, 16"
-            )
-        return name
-    if bits is not None:
-        raise ValueError("--bits only applies to --scheme qsgd")
-    return scheme
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
     tracer = Tracer()
     try:
-        scheme = _resolve_trace_scheme(args.scheme, args.bits)
-        config = TrainingConfig(
-            scheme=scheme,
-            exchange=args.exchange,
-            world_size=args.gpus,
-            batch_size=args.batch_size,
-            lr=args.lr,
-            seed=args.seed,
-            aggregation_frequency=args.aggregation_frequency,
-            engine=args.engine,
-            link_gbps=args.link_gbps,
-            tracer=tracer,
-        )
+        spec = RunSpec.from_flat(vars(args), "trace", tracer=tracer)
     except ValueError as exc:
         print(f"repro trace: error: {exc}", file=sys.stderr)
         return 2
-    ds = make_image_dataset(
-        num_classes=args.classes, train_samples=args.train_samples,
-        test_samples=args.test_samples, image_size=args.image_size,
-        seed=args.seed,
-    )
-    with ParallelTrainer(_build_train_model(args), config) as trainer:
-        history = trainer.fit(
-            ds.train_x, ds.train_y, ds.test_x, ds.test_y,
-            epochs=args.epochs, verbose=False,
-        )
-    if history.failures:
-        for failure in history.failures:
-            print(f"FAILED: {failure.message}", file=sys.stderr)
+    config = spec.config
+    history = spec.run()
+    if _print_failures(history):
         return 1
 
     write_chrome_trace(tracer, args.output)
@@ -364,9 +196,9 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     if args.crossval:
         validation = cross_validate(
             breakdown,
-            scheme=scheme,
-            exchange=args.exchange,
-            world_size=args.gpus,
+            scheme=config.scheme,
+            exchange=config.exchange,
+            world_size=config.world_size,
             network=args.network,
         )
         print()
@@ -427,9 +259,7 @@ def _fabric_crossval(args: argparse.Namespace) -> int:
     elements = sum(int(np.prod(p.shape)) for p in model.parameters())
     with ParallelTrainer(model, config) as trainer:
         history = trainer.fit(x, y, x, y, epochs=1)
-    if history.failures:
-        for failure in history.failures:
-            print(f"FAILED: {failure.message}", file=sys.stderr)
+    if _print_failures(history):
         return 1
     breakdown = PhaseBreakdown.from_history(history)
     validation = fabric_cross_validate(
@@ -668,118 +498,11 @@ def build_parser() -> argparse.ArgumentParser:
     train = sub.add_parser(
         "train", help="train a zoo model on synthetic data"
     )
-    train.add_argument(
-        "--model", default="alexnet", choices=sorted(MODEL_BUILDERS)
-    )
-    train.add_argument("--scheme", default="32bit", choices=SCHEME_NAMES)
-    train.add_argument(
-        "--policy",
-        default="static",
-        choices=POLICY_NAMES,
-        help="bit-width policy; 'adaptive' picks a per-layer scheme "
-        "from layer size and kind (--scheme is the middle precision "
-        "tier), 'static' applies --scheme to every layer",
-    )
-    train.add_argument("--exchange", default="mpi", choices=EXCHANGE_NAMES)
-    train.add_argument(
-        "--engine",
-        default="sequential",
-        choices=ENGINE_NAMES,
-        help="execution engine; 'threaded' runs one worker thread per "
-        "rank with overlapped bucketed exchange, 'process' one OS "
-        "process per rank with shared-memory exchange (all three are "
-        "bit-identical)",
-    )
-    train.add_argument(
-        "--ipc",
-        default="shm",
-        choices=IPC_NAMES,
-        help="gradient transport of the process engine (ignored by "
-        "the in-process engines)",
-    )
-    train.add_argument("--world-size", type=int, default=2)
-    train.add_argument("--batch-size", type=int, default=32)
-    train.add_argument("--epochs", type=int, default=5)
-    train.add_argument("--lr", type=float, default=0.01)
-    train.add_argument(
-        "--momentum", type=float, default=0.9,
-        help="SGD momentum (use 0 with --sync-mode local_sgd)",
-    )
-    train.add_argument("--seed", type=int, default=0)
-    train.add_argument(
-        "--aggregation-frequency", type=int, default=1, metavar="N",
-        help="micro-steps per synchronization round; N=1 exchanges "
-        "every step (bit-identical to the classic path), N>1 runs the "
-        "quantized exchange once per N steps, cutting wire traffic "
-        "~N-fold",
-    )
-    train.add_argument(
-        "--sync-mode", default="allreduce",
-        help="what a round exchanges: 'allreduce' ships accumulated "
-        "gradients, 'local_sgd' takes local optimizer steps and "
-        "averages parameters (requires --momentum 0)",
-    )
-    train.add_argument("--model-seed", type=int, default=1)
-    train.add_argument("--classes", type=int, default=4)
-    train.add_argument("--image-size", type=int, default=8)
-    train.add_argument("--train-samples", type=int, default=256)
-    train.add_argument("--test-samples", type=int, default=128)
-    train.add_argument(
-        "--link-gbps", type=float, default=None,
-        help="pace collectives at this simulated link rate",
-    )
-    train.add_argument("--barrier-timeout", type=float, default=30.0)
-    train.add_argument(
-        "--straggler-ranks", type=int, nargs="*", default=[],
-        help="ranks delayed by --straggler-delay every step",
-    )
-    train.add_argument("--straggler-delay", type=float, default=0.0)
-    train.add_argument(
-        "--crash-rank", type=int, default=None,
-        help="rank to crash at --crash-step (fault-injection demo)",
-    )
-    train.add_argument("--crash-step", type=int, default=None)
-    train.add_argument(
-        "--crash-transient", action="store_true",
-        help="the injected crash fires only on a step's first attempt, "
-        "so a retried step succeeds",
-    )
-    train.add_argument(
-        "--kill-point", action="append", default=[], metavar="RANK:STEP",
-        help="kill this rank outright at this step (repeatable); a "
-        "real SIGKILL under the process engine, an injected crash on "
-        "the in-process engines",
-    )
-    train.add_argument(
-        "--max-retries", type=int, default=0,
-        help="re-attempts per failed step before escalating (0 = "
-        "fail fast)",
-    )
-    train.add_argument(
-        "--retry-backoff", type=float, default=0.05,
-        help="base backoff seconds between retries (doubles per retry)",
-    )
-    train.add_argument(
-        "--allow-degraded", action="store_true",
-        help="evict a rank that exhausts its retries and continue on "
-        "the survivors (resharded batch, reweighted gradient mean)",
-    )
-    train.add_argument(
-        "--min-world-size", type=int, default=1,
-        help="smallest live world --allow-degraded may shrink to",
-    )
+    add_run_arguments(train, "train")
     train.add_argument(
         "--checkpoint-dir", default=None,
         help="write ckpt-<step>.npz checkpoints here (enables "
         "`repro resume`)",
-    )
-    train.add_argument(
-        "--checkpoint-every-steps", type=int, default=None,
-        help="also checkpoint every N global steps (mid-epoch)",
-    )
-    train.add_argument(
-        "--checkpoint-every-epochs", type=int, default=1,
-        help="checkpoint at the end of every N epochs",
     )
     train.set_defaults(handler=_cmd_train)
     resume = sub.add_parser(
@@ -810,40 +533,7 @@ def build_parser() -> argparse.ArgumentParser:
         "trace",
         help="trace a small training cell (Chrome trace + breakdown)",
     )
-    trace.add_argument(
-        "--scheme", default="qsgd", choices=_TRACE_SCHEMES,
-        help="scheme family; 'qsgd' composes with --bits",
-    )
-    trace.add_argument(
-        "--bits", type=int, default=None,
-        help="QSGD word length (2, 4, 8 or 16); only with --scheme qsgd",
-    )
-    trace.add_argument("--exchange", default="mpi", choices=EXCHANGE_NAMES)
-    trace.add_argument(
-        "--gpus", type=int, default=4, help="number of simulated GPUs"
-    )
-    trace.add_argument(
-        "--engine", default="sequential", choices=ENGINE_NAMES,
-        help="'sequential' keeps phases serial, so the breakdown rows "
-        "partition wall time; 'threaded' overlaps phases",
-    )
-    trace.add_argument(
-        "--model", default="alexnet", choices=sorted(MODEL_BUILDERS)
-    )
-    trace.add_argument("--epochs", type=int, default=1)
-    trace.add_argument(
-        "--aggregation-frequency", type=int, default=1, metavar="N",
-        help="micro-steps per synchronization round (see `repro train`)",
-    )
-    trace.add_argument("--batch-size", type=int, default=32)
-    trace.add_argument("--lr", type=float, default=0.01)
-    trace.add_argument("--seed", type=int, default=0)
-    trace.add_argument("--model-seed", type=int, default=1)
-    trace.add_argument("--classes", type=int, default=4)
-    trace.add_argument("--image-size", type=int, default=8)
-    trace.add_argument("--train-samples", type=int, default=128)
-    trace.add_argument("--test-samples", type=int, default=64)
-    trace.add_argument("--link-gbps", type=float, default=None)
+    add_run_arguments(trace, "trace")
     trace.add_argument(
         "--output", default="trace.json",
         help="Chrome-trace JSON path (chrome://tracing / Perfetto)",
@@ -877,7 +567,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="collective schedule; 'auto' simulates every candidate "
         "and picks the minimum-makespan one",
     )
-    fabric.add_argument("--scheme", default="qsgd4", choices=SCHEME_NAMES)
+    fabric.add_argument(
+        "--scheme", default="qsgd4", type=argparse_type(validate_scheme)
+    )
     fabric.add_argument(
         "--network", default=None, choices=sorted(NETWORKS),
         help="size the payload as this paper network's gradient "

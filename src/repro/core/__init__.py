@@ -8,8 +8,9 @@ from .checkpoint import (
     latest_checkpoint,
     save_checkpoint,
 )
-from .config import IPC_NAMES, POLICY_NAMES, TrainingConfig
+from .config import POLICY_NAMES, TrainingConfig
 from .metrics import EpochMetrics, History
+from .runspec import RunSpec
 from .trainer import ParallelTrainer, TrainingInterrupted
 
 __all__ = [
@@ -20,8 +21,8 @@ __all__ = [
     "latest_checkpoint",
     "save_checkpoint",
     "TrainingConfig",
-    "IPC_NAMES",
     "POLICY_NAMES",
+    "RunSpec",
     "EpochMetrics",
     "History",
     "ParallelTrainer",

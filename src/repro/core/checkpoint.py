@@ -23,13 +23,13 @@ import copy
 import json
 import os
 import re
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from ..runtime.worker import collect_module_rngs
-from .config import TrainingConfig
+from .config import TrainingConfig, identity_fields, knobs
 from .metrics import History
 
 __all__ = [
@@ -43,63 +43,35 @@ __all__ = [
 #: checkpoint file-format version
 FORMAT_VERSION = 1
 
-#: config fields that define the numeric trajectory; a checkpoint only
-#: restores into a trainer whose config matches on all of them.  The
-#: engine is deliberately absent (sequential and threaded runs are
-#: bit-identical, so resuming on the other engine is legal), as are the
-#: workspace switch and every fault/retry/telemetry knob.
-IDENTITY_FIELDS = (
-    "scheme",
-    "bucket_size",
-    "exchange",
-    "world_size",
-    "batch_size",
-    "lr",
-    "lr_decay",
-    "momentum",
-    "weight_decay",
-    "seed",
-    "requantize_broadcast",
-    "passthrough_coverage",
-    "norm",
-    "variant",
-    "policy",
-    "quantize_kinds",
-    "comm_bucket_bytes",
-    "aggregation_frequency",
-    "sync_mode",
-)
+#: config fields that define the numeric trajectory (the knobs declared
+#: ``identity=True``); a checkpoint only restores into a trainer whose
+#: config matches on all of them.  The engine is deliberately absent
+#: (all engines are bit-identical, so resuming on another is legal), as
+#: are the workspace switch and every fault/retry/telemetry knob.
+IDENTITY_FIELDS = identity_fields(TrainingConfig)
 
 _CKPT_NAME = re.compile(r"^ckpt-(\d+)\.npz$")
 
 
 def config_to_dict(config: TrainingConfig) -> dict:
-    """JSON-friendly config record (the tracer handle is dropped)."""
+    """JSON-friendly config record: every knob (no tracer handle)."""
     record = {}
-    for f in fields(config):
-        if f.name == "tracer":
-            continue
+    for f in knobs(TrainingConfig):
         value = getattr(config, f.name)
-        if isinstance(value, tuple):
-            value = list(value)
-        record[f.name] = value
+        record[f.name] = list(value) if isinstance(value, tuple) else value
     return record
 
 
 def config_from_dict(record: dict) -> TrainingConfig:
-    """Rebuild a :class:`TrainingConfig` from :func:`config_to_dict`."""
-    kwargs = dict(record)
-    known = {f.name for f in fields(TrainingConfig)}
-    kwargs = {k: v for k, v in kwargs.items() if k in known}
-    for key in ("straggler_ranks", "quantize_kinds"):
-        if kwargs.get(key) is not None:
-            kwargs[key] = tuple(kwargs[key])
-    if kwargs.get("kill_points") is not None:
-        # nested pairs serialize as lists-of-lists
-        kwargs["kill_points"] = tuple(
-            tuple(point) for point in kwargs["kill_points"]
-        )
-    return TrainingConfig(**kwargs)
+    """Rebuild a :class:`TrainingConfig` from :func:`config_to_dict`.
+
+    Keys that are no longer knobs (an old checkpoint's ``ipc``) are
+    dropped; the config normalizes list-valued knobs back to tuples.
+    """
+    known = {f.name for f in knobs(TrainingConfig)}
+    return TrainingConfig(
+        **{k: v for k, v in record.items() if k in known}
+    )
 
 
 @dataclass(frozen=True)

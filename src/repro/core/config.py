@@ -1,23 +1,38 @@
-"""Run configuration for data-parallel training experiments."""
+"""Run configuration: the one declaration of every training knob.
+
+A knob is a :class:`TrainingConfig` field built with :func:`knob`; its
+``dataclasses.field`` metadata carries everything the rest of the repo
+needs to know about it — help text, ``choices`` or range, whether it
+defines the numeric trajectory (``identity``) and which surfaces
+(``repro train`` / ``repro trace`` flags, the serve job body) expose
+it.  The argparse groups, the value checks below, ``JobSpec``,
+``checkpoint.IDENTITY_FIELDS`` and README's knob table are all derived
+from that metadata; adding a knob is one field here and nothing else.
+
+Modules that declare knobs need ``from __future__ import annotations``:
+the checks read a field's annotation as written (``"int | None"``).
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass, field, fields
 
 from ..comm import EXCHANGE_NAMES
-from ..quantization import SCHEME_NAMES
+from ..quantization import SCHEME_NAMES, validate_scheme
 from ..runtime.engine import ENGINE_NAMES
 
 __all__ = [
     "TrainingConfig",
     "ENGINE_NAMES",
-    "IPC_NAMES",
     "POLICY_NAMES",
+    "SURFACES",
     "SYNC_MODE_NAMES",
+    "check_knobs",
+    "identity_fields",
+    "knob",
+    "knobs",
 ]
-
-#: gradient transports of the process engine
-IPC_NAMES = ("shm",)
 
 #: codec-routing policies: "static" routes every gradient through the
 #: configured scheme (plus the small-matrix passthrough); "adaptive"
@@ -32,190 +47,309 @@ POLICY_NAMES = ("static", "adaptive")
 #: local optimizer steps and averages parameters once per round
 SYNC_MODE_NAMES = ("allreduce", "local_sgd")
 
+#: where a knob can be exposed: the two CLI commands and the serve job
+#: body (``POST /jobs``)
+SURFACES = ("train", "trace", "serve")
+_TRAIN = ("train",)
+_TRAIN_SERVE = ("train", "serve")
+
+_SCALARS = {
+    "int": numbers.Integral,
+    "float": numbers.Real,
+    "str": str,
+    "bool": bool,
+}
+
+
+def knob(
+    default,
+    help: str,
+    *,
+    choices: tuple | None = None,
+    check=None,
+    min=None,
+    above=None,
+    identity: bool = False,
+    surfaces: tuple[str, ...] = (),
+    cli: dict | None = None,
+):
+    """Declare one knob: a dataclass field whose metadata is its schema.
+
+    Args:
+        default: the library default (surfaces may override it).
+        help: one-line description — CLI help and README's knob table.
+        choices: the accepted values, if the knob is an enumeration.
+        check: ``callable(value)`` raising ``ValueError`` for values
+            a tuple of choices cannot describe (scheme names).
+        min / above: inclusive / exclusive lower bound.
+        identity: the knob defines the numeric trajectory, so a
+            checkpoint only restores under an equal value.
+        surfaces: the :data:`SURFACES` that expose the knob.
+        cli: extra ``add_argument`` keywords where the flag's spelling
+            differs from the value (``flag`` renames the option).
+    """
+    return field(default=default, metadata={
+        "help": help, "choices": choices, "check": check, "min": min,
+        "above": above, "identity": identity, "surfaces": tuple(surfaces),
+        "cli": cli or {},
+    })
+
+
+def knobs(cls, surface: str | None = None) -> list:
+    """The knob fields of ``cls`` (those exposed on ``surface``, if given)."""
+    return [
+        f for f in fields(cls)
+        if "help" in f.metadata
+        and (surface is None or surface in f.metadata["surfaces"])
+    ]
+
+
+def identity_fields(cls) -> tuple[str, ...]:
+    """Names of the knobs of ``cls`` that define the numeric trajectory."""
+    return tuple(f.name for f in knobs(cls) if f.metadata["identity"])
+
+
+def _conforms(value, kind: str) -> bool:
+    """Whether ``value`` is of annotated ``kind`` (lists pass as tuples)."""
+    if not kind.startswith("tuple["):
+        return isinstance(value, _SCALARS[kind]) and (
+            kind == "bool" or not isinstance(value, bool)
+        )
+    if not isinstance(value, (tuple, list)):
+        return False
+    inner = kind[len("tuple["):-1]
+    if inner.endswith(", ..."):
+        return all(_conforms(v, inner.removesuffix(", ...")) for v in value)
+    kinds = inner.split(", ")
+    return len(value) == len(kinds) and all(map(_conforms, value, kinds))
+
+
+def check_knobs(obj) -> None:
+    """Enforce every knob's declared type, choices and range on ``obj``.
+
+    Tuple knobs arrive from JSON and checkpoints as (nested) lists and
+    are normalized back to tuples.
+    """
+    for f in knobs(type(obj)):
+        meta = f.metadata
+        value = getattr(obj, f.name)
+        kind = f.type.removesuffix(" | None")
+        if value is None and kind != f.type:
+            continue
+        if not _conforms(value, kind):
+            raise ValueError(f"{f.name} must be {kind}, got {value!r}")
+        if kind.startswith("tuple["):
+            value = tuple(
+                tuple(v) if isinstance(v, list) else v for v in value
+            )
+            object.__setattr__(obj, f.name, value)
+        if meta["choices"] and value not in meta["choices"]:
+            raise ValueError(
+                f"unknown {f.name} {value!r}; expected one of "
+                f"{meta['choices']}"
+            )
+        if meta["check"]:
+            meta["check"](value)
+        if meta["min"] is not None and value < meta["min"]:
+            raise ValueError(
+                f"{f.name} must be >= {meta['min']}, got {value}"
+            )
+        if meta["above"] is not None and not value > meta["above"]:
+            raise ValueError(
+                f"{f.name} must be > {meta['above']}, got {value}"
+            )
+
+
+def _parse_kill_point(value: str) -> tuple[int, int]:
+    try:
+        rank, step = value.split(":", 1)
+        return int(rank), int(step)
+    except ValueError:
+        raise ValueError(
+            f"--kill-point must be RANK:STEP (e.g. 1:6), got {value!r}"
+        ) from None
+
 
 @dataclass
 class TrainingConfig:
     """Everything that identifies one cell of the paper's study grid.
 
-    Attributes:
-        scheme: quantizer name ("32bit", "1bit", "1bit*", "qsgd2"...).
-        bucket_size: bucket size override; ``None`` uses the scheme's
-            paper-tuned default.
-        exchange: collective pattern ("mpi", "nccl", "alltoall").
-        world_size: number of simulated GPUs.
-        batch_size: *global* minibatch size, split across ranks.
-        lr: learning rate (kept fixed across world sizes, as the paper
-            tunes it once for full precision and reuses it).
-        lr_decay: per-epoch multiplicative decay (1.0 = constant).
-        momentum: SGD momentum.
-        seed: seed for quantization randomness and shuffling.
-        requantize_broadcast: whether the MPI path re-quantizes
-            aggregated ranges before broadcast (CNTK behaviour).
-        workspace: reuse cached encode/decode scratch buffers across
-            steps (the zero-allocation hot path, with fused decode-
-            accumulate in the exchanges).  Bit-identical to the
-            allocating path; exists as a switch so benchmarks can
-            compare the two.
-        passthrough_coverage: fraction of parameters that must stay
-            quantized when choosing the small-matrix threshold.
-        norm / variant: QSGD scaling and level-layout options.
-        engine: execution engine ("sequential" rank loop, "threaded"
-            worker-per-rank, or "process" OS-process-per-rank;
-            bit-identical trajectories).
-        ipc: gradient transport of the process engine; "shm" (the only
-            implementation) exchanges through a zero-copy
-            ``multiprocessing.shared_memory`` arena.  Ignored by the
-            in-process engines.
-        comm_bucket_bytes: coalescing cap for the runtime's gradient
-            buckets (distinct from the quantizer's ``bucket_size``,
-            which is an element-count wire-format knob).
-        barrier_timeout: seconds before a missing rank at a step
-            barrier / bucket rendezvous is declared failed.
-        link_gbps: when set, each rank's encoded gradient upload
-            occupies a per-rank FIFO link of this rate in wall-clock
-            time (the bandwidth term of a ring allreduce).  A rank
-            reserves its link the moment backward finishes a bucket
-            and keeps computing; the bucket's collective waits for the
-            bytes to arrive, so on the threaded and process engines
-            wire time hides behind the rank's own backward and a step
-            costs t_f + max(t_b, first-bucket latency + t_wire) + tail.
-            The sequential engine pays every rank's wire time
-            serially.  Wall-clock only — never affects the numerics.
-        straggler_ranks / straggler_delay: inject a fixed delay (s)
-            at the top of these ranks' compute phase every step.
-        crash_rank / crash_step: the given rank crashes at the given
-            global step (``crash_step=None`` crashes every step).
-        crash_transient: the injected crash fires only on the first
-            attempt of its step, so a retried step succeeds (models a
-            recoverable glitch); ``False`` re-fires every attempt.
-        kill_points: ``(rank, step)`` pairs at which the worker is
-            killed outright.  Under the process engine the rank
-            SIGKILLs itself mid-step — a real process death, not an
-            exception; the in-process engines degrade each point to an
-            injected crash so a grid cell keeps one meaning
-            everywhere.  Kills fire once (a retried or respawned
-            attempt proceeds), so they are always recoverable with
-            ``max_retries >= 1``.
-        max_retries: re-attempts allowed per failed step (crash or
-            missed bucket rendezvous) before the failure escalates;
-            0 (the default) preserves the historical fail-fast
-            behaviour.
-        retry_backoff / retry_backoff_max / retry_jitter: exponential
-            backoff schedule between attempts — base delay in seconds
-            (doubling per retry), its ceiling, and the fraction added
-            as deterministic jitter.
-        allow_degraded: when a rank exhausts its retries, evict it and
-            continue on the survivors — the global batch is resharded
-            across live ranks and the gradient mean is reweighted by
-            live shard sizes.  The eviction is recorded as a
-            :class:`~repro.runtime.resilience.TopologyChange` on the
-            run's ``History``.
-        min_world_size: smallest live world degradation may shrink to;
-            a failure that would drop below it aborts the run instead.
-        tracer: a :class:`repro.telemetry.Tracer` to record per-rank
-            phase spans and typed counters on the live training path;
-            ``None`` (the default) uses the shared no-op
-            :data:`~repro.telemetry.NULL_TRACER`.  Tracing is
-            observation-only: traced and untraced runs are
-            bit-identical.
+    Every field but ``tracer`` is a :func:`knob`; what each one does is
+    its ``help`` metadata (rendered as README's knob table and as
+    ``repro train --help``).
     """
 
-    scheme: str = "32bit"
-    bucket_size: int | None = None
-    exchange: str = "mpi"
-    world_size: int = 1
-    batch_size: int = 32
-    lr: float = 0.05
-    lr_decay: float = 1.0
-    momentum: float = 0.9
-    weight_decay: float = 0.0
-    seed: int = 0
-    requantize_broadcast: bool = True
-    workspace: bool = True
-    passthrough_coverage: float = 0.99
-    norm: str = "inf"
-    variant: str = "sign"
-    #: codec routing: "static" (one scheme for everything above the
-    #: passthrough threshold) or "adaptive" (per-layer bit-widths from
-    #: the layer-sensitivity ranking; ``scheme`` becomes the middle
-    #: tier of the ladder).  See :data:`POLICY_NAMES`.
-    policy: str = "static"
-    #: restrict quantization to these parameter kinds (e.g. ("conv",)
-    #: or ("fc", "rnn")); ``None`` quantizes every kind — the paper's
-    #: Section 5.1 "Impact of Layer Types" analysis toggles this
-    quantize_kinds: tuple[str, ...] | None = None
-    # periodic synchronization: exchange once every N micro-steps
-    #: micro-steps per synchronization round (N >= 1).  N=1 is the
-    #: classic fully-synchronous path and stays bit-identical to it;
-    #: N>1 accumulates local gradients (sync_mode "allreduce") or takes
-    #: local optimizer steps (sync_mode "local_sgd") and runs the
-    #: quantized exchange once per round, cutting wire traffic ~N-fold.
-    aggregation_frequency: int = 1
-    #: what a synchronization round exchanges: "allreduce" ships the
-    #: accumulated gradient sum through the quantized collective and
-    #: applies the mean over ranks x micro-steps; "local_sgd" lets each
-    #: rank step its own replica every micro-step and averages the
-    #: parameter deltas (quantized, error-fed-back) once per round.
-    #: local_sgd requires momentum=0.0 — per-rank momentum on diverged
-    #: replicas has no synchronous-SGD equivalent.
-    sync_mode: str = "allreduce"
-    # runtime execution (see repro.runtime)
-    engine: str = "sequential"
-    ipc: str = "shm"
-    comm_bucket_bytes: int = 1 << 16
-    barrier_timeout: float = 30.0
-    link_gbps: float | None = None
-    straggler_ranks: tuple[int, ...] = ()
-    straggler_delay: float = 0.0
-    crash_rank: int | None = None
-    crash_step: int | None = None
-    crash_transient: bool = False
-    kill_points: tuple[tuple[int, int], ...] = ()
-    # resilience (see repro.runtime.resilience)
-    max_retries: int = 0
-    retry_backoff: float = 0.05
-    retry_backoff_max: float = 2.0
-    retry_jitter: float = 0.1
-    allow_degraded: bool = False
-    min_world_size: int = 1
-    # live-path telemetry (see repro.telemetry); excluded from equality
-    # and repr so configs stay comparable cell labels
+    scheme: str = knob(
+        "32bit", "quantizer: " + ", ".join(SCHEME_NAMES)
+        + ", or aqsgd<bits> / topk<density> / terngrad<clip>",
+        check=validate_scheme, identity=True, surfaces=SURFACES,
+    )
+    bucket_size: int | None = knob(
+        None, "quantizer bucket size (None = the scheme's tuned default)",
+        identity=True,
+    )
+    exchange: str = knob(
+        "mpi", "collective pattern",
+        choices=EXCHANGE_NAMES, identity=True, surfaces=SURFACES,
+    )
+    world_size: int = knob(
+        1, "number of simulated GPUs (ranks)",
+        min=1, identity=True, surfaces=SURFACES,
+    )
+    batch_size: int = knob(
+        32, "global minibatch size, split across ranks",
+        identity=True, surfaces=SURFACES,
+    )
+    #: kept fixed across world sizes, as the paper tunes it once for
+    #: full precision and reuses it
+    lr: float = knob(0.05, "learning rate", identity=True, surfaces=SURFACES)
+    lr_decay: float = knob(
+        1.0, "per-epoch multiplicative LR decay (1.0 = constant)",
+        identity=True,
+    )
+    momentum: float = knob(
+        0.9, "SGD momentum (use 0 with --sync-mode local_sgd)",
+        identity=True, surfaces=_TRAIN_SERVE,
+    )
+    weight_decay: float = knob(0.0, "L2 weight decay", identity=True)
+    seed: int = knob(
+        0, "seed of quantization randomness, shuffling and the dataset",
+        identity=True, surfaces=SURFACES,
+    )
+    requantize_broadcast: bool = knob(
+        True, "MPI path re-quantizes aggregated ranges before broadcast "
+        "(CNTK behaviour)", identity=True,
+    )
+    #: bit-identical to the allocating path (fused decode-accumulate in
+    #: the exchanges); a switch so benchmarks can compare the two
+    workspace: bool = knob(
+        True, "reuse cached encode/decode scratch buffers across steps"
+    )
+    passthrough_coverage: float = knob(
+        0.99, "fraction of parameters that must stay quantized when "
+        "choosing the small-matrix passthrough threshold", identity=True,
+    )
+    norm: str = knob("inf", "QSGD scaling norm", identity=True)
+    variant: str = knob("sign", "QSGD level layout", identity=True)
+    #: see :data:`POLICY_NAMES`
+    policy: str = knob(
+        "static", "bit-width policy; 'adaptive' picks a per-layer scheme "
+        "from layer size and kind (--scheme is the middle precision tier)",
+        choices=POLICY_NAMES, identity=True, surfaces=_TRAIN_SERVE,
+    )
+    #: the paper's Section 5.1 "Impact of Layer Types" analysis toggles
+    #: this, e.g. ("conv",) or ("fc", "rnn")
+    quantize_kinds: tuple[str, ...] | None = knob(
+        None, "quantize only these parameter kinds (None = every kind)",
+        identity=True,
+    )
+    #: N=1 is the classic fully-synchronous path and stays bit-identical
+    #: to it; N>1 accumulates local gradients (sync_mode "allreduce") or
+    #: takes local optimizer steps ("local_sgd") and runs the quantized
+    #: exchange once per round, cutting wire traffic ~N-fold
+    aggregation_frequency: int = knob(
+        1, "micro-steps per synchronization round (N=1 exchanges every "
+        "step)", min=1, identity=True, surfaces=SURFACES,
+        cli={"metavar": "N"},
+    )
+    #: see :data:`SYNC_MODE_NAMES`; local_sgd requires momentum 0 —
+    #: per-rank momentum on diverged replicas has no synchronous-SGD
+    #: equivalent
+    sync_mode: str = knob(
+        "allreduce", "what a round exchanges: accumulated gradients, or "
+        "(local_sgd, needs --momentum 0) averaged parameters",
+        choices=SYNC_MODE_NAMES, identity=True, surfaces=_TRAIN_SERVE,
+    )
+    engine: str = knob(
+        "sequential", "execution engine: rank loop, thread per rank, or "
+        "OS process per rank (all three are bit-identical)",
+        choices=ENGINE_NAMES, surfaces=SURFACES,
+    )
+    #: distinct from the quantizer's element-count ``bucket_size``
+    comm_bucket_bytes: int = knob(
+        1 << 16, "coalescing cap of the runtime's gradient buckets",
+        min=1, identity=True,
+    )
+    barrier_timeout: float = knob(
+        30.0, "seconds before a rank missing at a step barrier or bucket "
+        "rendezvous is declared failed", above=0, surfaces=_TRAIN,
+    )
+    #: each rank's encoded upload occupies a per-rank FIFO link (the
+    #: bandwidth term of a ring allreduce).  A rank reserves its link
+    #: the moment backward finishes a bucket and keeps computing; the
+    #: bucket's collective waits for the bytes to arrive, so on the
+    #: threaded and process engines wire time hides behind the rank's
+    #: own backward and a step costs t_f + max(t_b, first-bucket
+    #: latency + t_wire) + tail.  The sequential engine pays every
+    #: rank's wire time serially.  Wall-clock only, never the numerics.
+    link_gbps: float | None = knob(
+        None, "pace collectives at this simulated link rate",
+        above=0, surfaces=SURFACES,
+    )
+    straggler_ranks: tuple[int, ...] = knob(
+        (), "ranks delayed by --straggler-delay every step",
+        surfaces=_TRAIN, cli={"nargs": "*", "type": int},
+    )
+    straggler_delay: float = knob(
+        0.0, "seconds each straggler rank is delayed per step",
+        min=0, surfaces=_TRAIN,
+    )
+    crash_rank: int | None = knob(
+        None, "rank to crash at --crash-step (fault-injection demo)",
+        surfaces=_TRAIN,
+    )
+    crash_step: int | None = knob(
+        None, "global step of the injected crash (None = every step)",
+        surfaces=_TRAIN,
+    )
+    crash_transient: bool = knob(
+        False, "the injected crash fires only on a step's first attempt, "
+        "so a retried step succeeds", surfaces=_TRAIN,
+    )
+    #: a real SIGKILL under the process engine; the in-process engines
+    #: degrade each point to an injected crash so a grid cell keeps one
+    #: meaning everywhere.  Kills fire once, so they are always
+    #: recoverable with ``max_retries >= 1``.
+    kill_points: tuple[tuple[int, int], ...] = knob(
+        (), "kill this rank outright at this step (repeatable)",
+        surfaces=_TRAIN, cli={
+            "flag": "--kill-point", "action": "append",
+            "type": _parse_kill_point, "metavar": "RANK:STEP",
+        },
+    )
+    max_retries: int = knob(
+        0, "re-attempts per failed step before escalating (0 = fail fast)",
+        min=0, surfaces=_TRAIN,
+    )
+    retry_backoff: float = knob(
+        0.05, "base backoff seconds between retries (doubles per retry)",
+        min=0, surfaces=_TRAIN,
+    )
+    retry_backoff_max: float = knob(2.0, "ceiling of the retry backoff")
+    retry_jitter: float = knob(
+        0.1, "fraction of the backoff added as deterministic jitter", min=0
+    )
+    #: the eviction is recorded as a TopologyChange on the run's History
+    allow_degraded: bool = knob(
+        False, "evict a rank that exhausts its retries and continue on "
+        "the survivors (resharded batch, reweighted gradient mean)",
+        surfaces=_TRAIN,
+    )
+    min_world_size: int = knob(
+        1, "smallest live world --allow-degraded may shrink to",
+        surfaces=_TRAIN,
+    )
+    # a repro.telemetry.Tracer recording spans and counters on the live
+    # path (None = the shared no-op NULL_TRACER); observation-only, so
+    # it is no knob and is excluded from equality and repr
     tracer: object | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.scheme not in SCHEME_NAMES:
-            raise ValueError(
-                f"unknown scheme {self.scheme!r}; expected one of "
-                f"{SCHEME_NAMES}"
-            )
-        if self.policy not in POLICY_NAMES:
-            raise ValueError(
-                f"unknown policy {self.policy!r}; expected one of "
-                f"{POLICY_NAMES}"
-            )
-        if self.exchange not in EXCHANGE_NAMES:
-            raise ValueError(
-                f"unknown exchange {self.exchange!r}; expected one of "
-                f"{EXCHANGE_NAMES}"
-            )
-        if self.world_size < 1:
-            raise ValueError(
-                f"world_size must be >= 1, got {self.world_size}"
-            )
+        check_knobs(self)
         if self.batch_size < self.world_size:
             raise ValueError(
                 "global batch_size must be >= world_size "
                 f"({self.batch_size} < {self.world_size})"
-            )
-        if self.aggregation_frequency < 1:
-            raise ValueError(
-                f"aggregation_frequency must be >= 1, got "
-                f"{self.aggregation_frequency}"
-            )
-        if self.sync_mode not in SYNC_MODE_NAMES:
-            raise ValueError(
-                f"unknown sync_mode {self.sync_mode!r}; expected one of "
-                f"{SYNC_MODE_NAMES}"
             )
         if self.sync_mode == "local_sgd" and self.momentum != 0.0:
             raise ValueError(
@@ -223,76 +357,22 @@ class TrainingConfig:
                 f"momentum={self.momentum}; per-rank momentum on diverged "
                 "replicas has no synchronous-SGD equivalent"
             )
-        if self.engine not in ENGINE_NAMES:
-            raise ValueError(
-                f"unknown engine {self.engine!r}; expected one of "
-                f"{ENGINE_NAMES}"
-            )
-        if self.ipc not in IPC_NAMES:
-            raise ValueError(
-                f"unknown ipc {self.ipc!r}; expected one of {IPC_NAMES}"
-            )
-        if self.comm_bucket_bytes < 1:
-            raise ValueError(
-                f"comm_bucket_bytes must be >= 1, got "
-                f"{self.comm_bucket_bytes}"
-            )
-        if self.barrier_timeout <= 0:
-            raise ValueError(
-                f"barrier_timeout must be > 0, got {self.barrier_timeout}"
-            )
-        if self.link_gbps is not None and self.link_gbps <= 0:
-            raise ValueError(
-                f"link_gbps must be > 0, got {self.link_gbps}"
-            )
-        if self.straggler_delay < 0:
-            raise ValueError(
-                f"straggler_delay must be >= 0, got {self.straggler_delay}"
-            )
-        for rank in self.straggler_ranks:
-            if not 0 <= rank < self.world_size:
-                raise ValueError(
-                    f"straggler rank {rank} outside world of "
-                    f"{self.world_size}"
-                )
-        if self.crash_rank is not None and not (
-            0 <= self.crash_rank < self.world_size
-        ):
-            raise ValueError(
-                f"crash_rank {self.crash_rank} outside world of "
-                f"{self.world_size}"
-            )
-        for point in self.kill_points:
-            if len(point) != 2:
-                raise ValueError(
-                    f"kill point {point!r} must be a (rank, step) pair"
-                )
-            rank, step = point
-            if not 0 <= rank < self.world_size:
-                raise ValueError(
-                    f"kill point rank {rank} outside world of "
-                    f"{self.world_size}"
-                )
+        ranks = [("straggler rank", r) for r in self.straggler_ranks]
+        if self.crash_rank is not None:
+            ranks.append(("crash_rank", self.crash_rank))
+        for rank, step in self.kill_points:
+            ranks.append(("kill point rank", rank))
             if step < 0:
+                raise ValueError(f"kill point step must be >= 0, got {step}")
+        for what, rank in ranks:
+            if not 0 <= rank < self.world_size:
                 raise ValueError(
-                    f"kill point step must be >= 0, got {step}"
+                    f"{what} {rank} outside world of {self.world_size}"
                 )
-        if self.max_retries < 0:
-            raise ValueError(
-                f"max_retries must be >= 0, got {self.max_retries}"
-            )
-        if self.retry_backoff < 0:
-            raise ValueError(
-                f"retry_backoff must be >= 0, got {self.retry_backoff}"
-            )
         if self.retry_backoff_max < self.retry_backoff:
             raise ValueError(
                 f"retry_backoff_max ({self.retry_backoff_max}) must be >= "
                 f"retry_backoff ({self.retry_backoff})"
-            )
-        if self.retry_jitter < 0:
-            raise ValueError(
-                f"retry_jitter must be >= 0, got {self.retry_jitter}"
             )
         if not 1 <= self.min_world_size <= self.world_size:
             raise ValueError(

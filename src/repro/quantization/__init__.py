@@ -69,6 +69,7 @@ __all__ = [
     "EXTENSION_SCHEME_PREFIXES",
     "EXTENSION_SCHEME_EXAMPLES",
     "make_quantizer",
+    "validate_scheme",
     "kernels",
 ]
 
@@ -150,7 +151,18 @@ def make_quantizer(name: str, bucket_size: int | None = None, **kwargs) -> Quant
     if name == "dettmers8c":
         return Dettmers8("column", bucket_size=bucket_size, **kwargs)
     raise ValueError(
-        f"unknown quantizer {name!r}; expected one of {SCHEME_NAMES} "
+        f"unknown scheme {name!r}; expected one of {SCHEME_NAMES} "
         "or an extension scheme: "
         + "; ".join(EXTENSION_SCHEME_EXAMPLES)
     )
+
+
+def validate_scheme(name: str) -> str:
+    """``name`` if :func:`make_quantizer` accepts it, else its ValueError.
+
+    The one definition of "a valid scheme name" — registry names and
+    the extension syntaxes alike — shared by :class:`TrainingConfig`,
+    the CLI (as an argparse ``type=``) and the serve job body.
+    """
+    make_quantizer(name)
+    return name

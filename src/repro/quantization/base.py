@@ -15,12 +15,14 @@ in every reproduced figure are measured, never assumed.
 from __future__ import annotations
 
 import abc
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Mapping
 
 import numpy as np
 
+from .bucketing import bucket_count
 from .workspace import EncodeWorkspace
 
 __all__ = [
@@ -179,6 +181,17 @@ class Quantizer(abc.ABC):
         """
         zero = np.zeros(shape, dtype=np.float32)
         return self.encode(zero, np.random.default_rng(0)).nbytes
+
+    def group_count(self, shape: tuple[int, ...]) -> int:
+        """Quantization groups (columns or buckets) formed on ``shape``.
+
+        Each group pays a reduction plus scale handling on top of the
+        per-element work; the simulator costs that overhead from this
+        count.  The default is one group per ``effective_bucket``-sized
+        bucket; codecs that group differently (or not at all) override.
+        """
+        count = math.prod(shape)
+        return bucket_count(count, self.effective_bucket(count))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(name={self.name!r})"

@@ -32,6 +32,8 @@ that move values in and out of the group layout.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .base import BucketSumDecoder, EncodedTensor, Quantizer, SumDecoder
@@ -220,13 +222,15 @@ class Dettmers8(Quantizer):
         values *= scales[:, None]
         return values
 
-    def encoded_nbytes(self, shape: tuple[int, ...]) -> int:
-        from .base import MESSAGE_HEADER_BYTES
+    def group_count(self, shape: tuple[int, ...]) -> int:
         from .bucketing import bucket_count
 
-        count = 1
-        for dim in shape:
-            count *= dim
-        bucket_size = self.effective_bucket(count, shape)
-        buckets = bucket_count(count, bucket_size)
+        count = math.prod(shape)
+        return bucket_count(count, self.effective_bucket(count, shape))
+
+    def encoded_nbytes(self, shape: tuple[int, ...]) -> int:
+        from .base import MESSAGE_HEADER_BYTES
+
+        buckets = self.group_count(shape)
+        bucket_size = self.effective_bucket(math.prod(shape), shape)
         return MESSAGE_HEADER_BYTES + 4 * buckets + buckets * bucket_size

@@ -7,6 +7,8 @@ message header.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .base import EncodedTensor, Quantizer
@@ -65,10 +67,11 @@ class FullPrecision(Quantizer):
             out[...] = values
         return out
 
+    def group_count(self, shape: tuple[int, ...]) -> int:
+        """Nothing is grouped: the values travel as they are."""
+        return 0
+
     def encoded_nbytes(self, shape: tuple[int, ...]) -> int:
         from .base import MESSAGE_HEADER_BYTES
 
-        count = 1
-        for dim in shape:
-            count *= dim
-        return MESSAGE_HEADER_BYTES + 4 * count
+        return MESSAGE_HEADER_BYTES + 4 * math.prod(shape)

@@ -25,6 +25,8 @@ wrappers over them.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import bitpack
@@ -245,13 +247,15 @@ class OneBitSgd(Quantizer):
             target[...] = columns.T
         return out
 
+    def group_count(self, shape: tuple[int, ...]) -> int:
+        """One group per column: everything past the first dimension."""
+        rows = shape[0] if shape else 1
+        return math.prod(shape) // rows if rows else 0
+
     def encoded_nbytes(self, shape: tuple[int, ...]) -> int:
         from .base import MESSAGE_HEADER_BYTES
 
         rows = shape[0] if shape else 1
-        count = 1
-        for dim in shape:
-            count *= dim
-        cols = count // rows if rows else 0
+        cols = self.group_count(shape)
         words_per_col = bitpack.packed_words(rows, 1)
         return MESSAGE_HEADER_BYTES + cols * (8 + 4 * words_per_col)

@@ -11,6 +11,8 @@ the paper uses bucket size 64 to preserve accuracy.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .base import EncodedTensor, Quantizer
@@ -94,12 +96,8 @@ class OneBitSgdReshaped(Quantizer):
     def encoded_nbytes(self, shape: tuple[int, ...]) -> int:
         from . import bitpack
         from .base import MESSAGE_HEADER_BYTES
-        from .bucketing import bucket_count
 
-        count = 1
-        for dim in shape:
-            count *= dim
-        bucket_size = self.effective_bucket(count)
-        buckets = bucket_count(count, bucket_size)
+        buckets = self.group_count(shape)
+        bucket_size = self.effective_bucket(math.prod(shape))
         words_per_bucket = bitpack.packed_words(bucket_size, 1)
         return MESSAGE_HEADER_BYTES + buckets * (8 + 4 * words_per_bucket)

@@ -24,6 +24,8 @@ variance added per scale factor: the paper's tuned bucket sizes are
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import bitpack, kernels
@@ -261,12 +263,8 @@ class Qsgd(Quantizer):
 
     def encoded_nbytes(self, shape: tuple[int, ...]) -> int:
         from .base import MESSAGE_HEADER_BYTES
-        from .bucketing import bucket_count
 
-        count = 1
-        for dim in shape:
-            count *= dim
-        bucket_size = self.effective_bucket(count)
-        buckets = bucket_count(count, bucket_size)
+        buckets = self.group_count(shape)
+        bucket_size = self.effective_bucket(math.prod(shape))
         code_words = bitpack.packed_words(buckets * bucket_size, self.bits)
         return MESSAGE_HEADER_BYTES + 4 * buckets + 4 * code_words

@@ -34,6 +34,8 @@ plain numpy).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import bitpack
@@ -209,13 +211,9 @@ class TernGrad(Quantizer):
 
     def encoded_nbytes(self, shape: tuple[int, ...]) -> int:
         from .base import MESSAGE_HEADER_BYTES
-        from .bucketing import bucket_count
 
-        count = 1
-        for dim in shape:
-            count *= dim
-        bucket_size = self.effective_bucket(count)
-        buckets = bucket_count(count, bucket_size)
+        buckets = self.group_count(shape)
+        bucket_size = self.effective_bucket(math.prod(shape))
         code_words = bitpack.packed_words(
             buckets * bucket_size, _CODE_BITS
         )

@@ -11,6 +11,8 @@ this codec's ``bits_per_element``.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .base import EncodedTensor, Quantizer
@@ -111,10 +113,11 @@ class TopK(Quantizer):
             out[...] = dense
         return out
 
+    def group_count(self, shape: tuple[int, ...]) -> int:
+        """One whole-tensor magnitude selection."""
+        return 1
+
     def encoded_nbytes(self, shape: tuple[int, ...]) -> int:
         from .base import MESSAGE_HEADER_BYTES
 
-        count = 1
-        for dim in shape:
-            count *= dim
-        return MESSAGE_HEADER_BYTES + 8 * self.survivors(count)
+        return MESSAGE_HEADER_BYTES + 8 * self.survivors(math.prod(shape))

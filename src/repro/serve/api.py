@@ -14,8 +14,9 @@ Endpoints::
                                     is terminal
     GET    /jobs/<id>/trace         post-hoc Chrome trace (spec.trace)
 
-Errors are JSON ``{"error": ...}`` with 400 (bad request), 404
-(unknown job/route), or 405.  The server is a ``ThreadingHTTPServer``:
+Errors are JSON ``{"error": ...}`` with 400 (bad request, including a
+malformed ``Content-Length`` or body), 404 (unknown job/route), 405, or
+413 (a body over :data:`MAX_BODY_BYTES`).  The server is a ``ThreadingHTTPServer``:
 request handling never blocks the daemon's scheduling loop, and the
 store's locking makes concurrent submits/cancels safe.
 """
@@ -27,7 +28,14 @@ import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlparse
 
-__all__ = ["make_server"]
+__all__ = ["MAX_BODY_BYTES", "make_server"]
+
+#: largest request body the API reads; a job spec is a few hundred bytes
+MAX_BODY_BYTES = 1 << 20
+
+
+class _BodyTooLarge(ValueError):
+    """A declared body length over :data:`MAX_BODY_BYTES` (a 413)."""
 
 
 class _ServeHandler(BaseHTTPRequestHandler):
@@ -50,7 +58,20 @@ class _ServeHandler(BaseHTTPRequestHandler):
         self._send_json(code, {"error": message})
 
     def _read_body(self) -> dict:
-        length = int(self.headers.get("Content-Length") or 0)
+        header = self.headers.get("Content-Length") or "0"
+        # a negative length would make rfile.read block until the
+        # client hangs up, so the header is validated before any read
+        if not header.strip().isdigit():
+            raise ValueError(
+                f"Content-Length must be a non-negative integer, got "
+                f"{header!r}"
+            )
+        length = int(header)
+        if length > MAX_BODY_BYTES:
+            raise _BodyTooLarge(
+                f"request body of {length} bytes exceeds the "
+                f"{MAX_BODY_BYTES}-byte limit"
+            )
         raw = self.rfile.read(length) if length else b"{}"
         payload = json.loads(raw or b"{}")
         if not isinstance(payload, dict):
@@ -99,6 +120,8 @@ class _ServeHandler(BaseHTTPRequestHandler):
             return self._send_error(404, f"no route for {self.path}")
         except KeyError:
             return self._send_error(404, f"unknown job {parts[1]!r}")
+        except _BodyTooLarge as exc:
+            return self._send_error(413, str(exc))
         except (ValueError, TypeError) as exc:
             return self._send_error(400, str(exc))
 

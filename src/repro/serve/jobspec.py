@@ -1,103 +1,51 @@
-"""What one training job runs: model, dataset, and training config.
+"""What one training job runs: a :class:`RunSpec` plus job-only knobs.
 
-A :class:`JobSpec` is the unit of submission — the JSON body of
-``POST /jobs`` parses into one.  It mirrors the ``repro train`` CLI
-knobs (zoo model + synthetic dataset + :class:`TrainingConfig` cell)
-so anything trainable from the command line is submittable as a job.
-Specs are validated eagerly at submission (unknown fields, unknown
-model, non-positive sizes), while config-level errors that need the
-full :class:`TrainingConfig` construction (scheme/exchange names,
-batch-vs-world-size constraints) surface when the runner builds the
-trainer and turn the job ``failed`` with a traceback.
+A :class:`JobSpec` is the unit of submission — the flat JSON body of
+``POST /jobs`` parses into one.  Its keys are the knobs the ``serve``
+surface exposes (see README's knob table): the run's model, dataset and
+schedule, the :class:`~repro.core.TrainingConfig` cell, and the two
+job-only knobs below.  Parsing builds the config, so a body naming an
+unknown field, scheme, exchange, engine, policy or sync mode — or an
+impossible cell such as ``batch_size < world_size`` — is a
+``ValueError`` listing the choices (a 400) at submission, never a
+stored job that fails in its runner.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass
 
-from ..core.config import TrainingConfig
-from ..data import make_image_dataset, make_sequence_dataset
-from ..models import MODEL_BUILDERS, build_model
+from ..core.config import knob
+from ..core.runspec import RunSpec
 
 __all__ = ["JobSpec"]
 
 
 @dataclass(frozen=True)
-class JobSpec:
+class JobSpec(RunSpec):
     """One submittable training job.
 
-    Attributes:
-        model: zoo model name (``repro.models.MODEL_BUILDERS``).
-        scheme / policy / exchange / engine: the study-grid cell to
-            train (validated by :class:`TrainingConfig` in the
-            runner); ``policy="adaptive"`` enables per-layer bit-width
-            selection with ``scheme`` as the middle precision tier.
-        world_size: ranks this job occupies in the daemon's pool —
-            the admission-control currency.
-        epochs: total epochs to train (a resumed job continues to the
-            same total).
-        checkpoint_every_steps: per-step checkpoint cadence; 1 (the
-            default) makes the job resumable from any kill point.
-        trace: record a telemetry trace and export a per-job Chrome
-            trace next to the metrics stream.
-        timeout_s: wall-clock budget per attempt; the daemon evicts
-            the job when exceeded.  ``None`` = unbounded.
-        link_gbps: optional simulated link pacing, as in ``repro
-            train``.
-        aggregation_frequency / sync_mode / momentum: periodic-
-            synchronization knobs, as in ``repro train`` (sync_mode
-            "local_sgd" needs momentum 0.0; validated by
-            :class:`TrainingConfig` in the runner).
+    ``world_size`` (a property of the run's config) is the ranks the
+    job occupies in the daemon's pool — the admission-control currency.
     """
 
-    model: str = "alexnet"
-    scheme: str = "32bit"
-    policy: str = "static"
-    exchange: str = "mpi"
-    engine: str = "sequential"
-    world_size: int = 2
-    batch_size: int = 32
-    epochs: int = 2
-    lr: float = 0.01
-    momentum: float = 0.9
-    aggregation_frequency: int = 1
-    sync_mode: str = "allreduce"
-    seed: int = 0
-    model_seed: int = 1
-    classes: int = 4
-    image_size: int = 8
-    train_samples: int = 64
-    test_samples: int = 32
-    checkpoint_every_steps: int = 1
-    trace: bool = False
-    timeout_s: float | None = None
-    link_gbps: float | None = None
+    trace: bool = knob(
+        False,
+        "record a telemetry trace and export a per-job Chrome trace "
+        "next to the metrics stream",
+        surfaces=("serve",),
+    )
+    timeout_s: float | None = knob(
+        None,
+        "wall-clock budget per attempt; the daemon evicts the job when "
+        "exceeded (None = unbounded)",
+        above=0, surfaces=("serve",),
+    )
 
-    def __post_init__(self) -> None:
-        if self.model not in MODEL_BUILDERS:
-            raise ValueError(
-                f"unknown model {self.model!r}; expected one of "
-                f"{sorted(MODEL_BUILDERS)}"
-            )
-        for name in ("world_size", "batch_size", "epochs",
-                     "checkpoint_every_steps", "train_samples",
-                     "aggregation_frequency"):
-            if int(getattr(self, name)) < 1:
-                raise ValueError(
-                    f"{name} must be >= 1, got {getattr(self, name)}"
-                )
-        if self.test_samples < 0:
-            raise ValueError(
-                f"test_samples must be >= 0, got {self.test_samples}"
-            )
-        if self.timeout_s is not None and self.timeout_s <= 0:
-            raise ValueError(
-                f"timeout_s must be positive, got {self.timeout_s}"
-            )
-
-    # -- (de)serialization ------------------------------------------------
     def to_dict(self) -> dict:
-        return asdict(self)
+        """The flat record :meth:`from_dict` parses back."""
+        flat = {**vars(self.config), **vars(self)}
+        return {f.name: flat[f.name] for f in self.all_knobs("serve")}
 
     @classmethod
     def from_dict(cls, record: dict) -> "JobSpec":
@@ -106,62 +54,11 @@ class JobSpec:
             raise ValueError(
                 f"spec must be a JSON object, got {type(record).__name__}"
             )
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(record) - known)
+        known = sorted(f.name for f in cls.all_knobs("serve"))
+        unknown = sorted(set(record) - set(known))
         if unknown:
             raise ValueError(
                 f"unknown spec fields: {', '.join(unknown)}; expected a "
-                f"subset of {sorted(known)}"
+                f"subset of {known}"
             )
-        return cls(**record)
-
-    # -- materialization (runner side) ------------------------------------
-    def to_config(self, tracer=None) -> TrainingConfig:
-        """The :class:`TrainingConfig` cell this job trains."""
-        kwargs = {}
-        if tracer is not None:
-            kwargs["tracer"] = tracer
-        return TrainingConfig(
-            scheme=self.scheme,
-            policy=self.policy,
-            exchange=self.exchange,
-            world_size=self.world_size,
-            batch_size=self.batch_size,
-            lr=self.lr,
-            momentum=self.momentum,
-            aggregation_frequency=self.aggregation_frequency,
-            sync_mode=self.sync_mode,
-            seed=self.seed,
-            engine=self.engine,
-            link_gbps=self.link_gbps,
-            **kwargs,
-        )
-
-    def build_model(self):
-        """Fresh model replica seeded exactly like ``repro train``."""
-        if self.model == "lstm":
-            return build_model(self.model, num_classes=self.classes,
-                               seed=self.model_seed)
-        if self.model in ("alexnet", "vgg"):
-            return build_model(self.model, num_classes=self.classes,
-                               image_size=self.image_size,
-                               seed=self.model_seed)
-        return build_model(self.model, num_classes=self.classes,
-                           seed=self.model_seed)
-
-    def build_dataset(self):
-        """The job's synthetic dataset (seeded by the config seed)."""
-        if self.model == "lstm":
-            return make_sequence_dataset(
-                num_classes=self.classes,
-                train_samples=self.train_samples,
-                test_samples=self.test_samples,
-                seed=self.seed,
-            )
-        return make_image_dataset(
-            num_classes=self.classes,
-            train_samples=self.train_samples,
-            test_samples=self.test_samples,
-            image_size=self.image_size,
-            seed=self.seed,
-        )
+        return cls.from_flat(record, "serve")

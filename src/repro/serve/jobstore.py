@@ -25,6 +25,8 @@ from __future__ import annotations
 
 import json
 import os
+import re
+import sys
 import threading
 import time
 from dataclasses import dataclass, field
@@ -179,19 +181,35 @@ class JobStore:
         """Rebuild the in-memory view from disk (daemon restart)."""
         with self._lock:
             self._records.clear()
+            # every job-<seq> directory owns its id (and checkpoints),
+            # readable record or not
+            taken = [-1]
             for entry in sorted(self.jobs_dir.iterdir()):
                 if not entry.is_dir():
                     continue
+                if match := re.fullmatch(r"job-(\d+)", entry.name):
+                    taken.append(int(match.group(1)))
                 payload = read_json(entry / "record.json")
                 if payload is None:
                     # a submission that crashed before its first
                     # atomic record write; nothing to recover
                     continue
-                record = JobRecord.from_dict(payload)
+                try:
+                    record = JobRecord.from_dict(payload)
+                except (ValueError, TypeError, KeyError) as exc:
+                    # valid JSON that no longer validates (a spec field
+                    # or scheme this version rejects, a missing key):
+                    # one bad record must not keep the daemon from
+                    # starting and resuming the others
+                    print(
+                        f"jobstore: skipping {entry.name}: "
+                        f"{type(exc).__name__}: {exc}",
+                        file=sys.stderr,
+                    )
+                    continue
                 self._records[record.job_id] = record
-            self._seq = max(
-                (r.seq for r in self._records.values()), default=-1
-            ) + 1
+                taken.append(record.seq)
+            self._seq = max(taken) + 1
 
     # -- reads ------------------------------------------------------------
     def get(self, job_id: str) -> JobRecord:

@@ -38,8 +38,8 @@ import time
 import traceback
 from pathlib import Path
 
-from ..core import ParallelTrainer, TrainingInterrupted
-from ..core.checkpoint import CheckpointPolicy, checkpoint_steps
+from ..core import TrainingInterrupted
+from ..core.checkpoint import checkpoint_steps
 from ..telemetry import Tracer, write_chrome_trace
 from .jobspec import JobSpec
 from .jobstore import JobState, read_json, write_json_atomic
@@ -128,14 +128,9 @@ def run_job(
 
     try:
         spec = JobSpec.from_dict(record["spec"])
-        tracer = Tracer() if spec.trace else None
-        config = spec.to_config(tracer)
-        dataset = spec.build_dataset()
-        policy = CheckpointPolicy(
-            directory=job_dir / "ckpts",
-            every_steps=spec.checkpoint_every_steps,
-            keep=2,
-            extra={"job_id": record.get("job_id")},
+        tracer = spec.config.tracer = Tracer() if spec.trace else None
+        policy = spec.checkpoint_policy(
+            job_dir / "ckpts", keep=2, extra={"job_id": record.get("job_id")}
         )
         # a previous attempt's checkpoints mean this attempt resumes
         # (numeric-step discovery: ckpt-100 beats ckpt-99)
@@ -145,19 +140,15 @@ def run_job(
         def on_epoch(metrics, history) -> None:
             _append_ndjson(metrics_path, _epoch_line(metrics))
 
-        with ParallelTrainer(spec.build_model(), config) as trainer:
-            try:
-                history = trainer.fit(
-                    dataset.train_x, dataset.train_y,
-                    dataset.test_x, dataset.test_y,
-                    epochs=spec.epochs,
-                    checkpoint=policy,
-                    resume_from=resume_from,
-                    on_epoch=on_epoch,
-                    should_stop=should_stop,
-                )
-            except TrainingInterrupted:
-                return finish(JobState.CANCELLED)
+        try:
+            history = spec.run(
+                checkpoint=policy,
+                resume_from=resume_from,
+                on_epoch=on_epoch,
+                should_stop=should_stop,
+            )
+        except TrainingInterrupted:
+            return finish(JobState.CANCELLED)
         _append_ndjson(
             metrics_path,
             {"type": "phase_totals", **history.phase_totals()},

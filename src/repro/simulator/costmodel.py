@@ -25,14 +25,10 @@ from ..comm.topology import partition_ranges
 from ..models.specs import GradientMatrixSpec, NetworkSpec
 from ..quantization import (
     FullPrecision,
-    OneBitSgd,
-    OneBitSgdReshaped,
-    Qsgd,
     Quantizer,
     make_quantizer,
     passthrough_threshold,
 )
-from ..quantization.bucketing import bucket_count
 
 __all__ = [
     "MatrixCost",
@@ -45,18 +41,6 @@ __all__ = [
 GROUP_COST = 12.0
 #: element-equivalents per kernel launch (two phases per matrix)
 LAUNCH_COST = 20_000.0
-
-
-def _group_count(codec: Quantizer, rows: int, cols: int) -> int:
-    """Number of quantization groups the codec forms on a matrix."""
-    if isinstance(codec, FullPrecision):
-        return 0
-    if isinstance(codec, OneBitSgd):
-        return cols
-    if isinstance(codec, (OneBitSgdReshaped, Qsgd)):
-        count = rows * cols
-        return bucket_count(count, codec.effective_bucket(count))
-    raise TypeError(f"unknown codec type {type(codec).__name__}")
 
 
 @dataclass(frozen=True)
@@ -119,7 +103,7 @@ class NetworkCostModel:
             quantized=not isinstance(codec, FullPrecision),
             whole_bytes=whole,
             range_bytes=range_total,
-            groups=_group_count(self._codec_for(layer), layer.rows, layer.cols),
+            groups=codec.group_count(layer.shape),
             mpi_launches=launches,
         )
 

@@ -172,6 +172,24 @@ class TestCheckpointFiles:
         assert meta["step"] == 3
         assert config_from_dict(meta["config"]).scheme == "1bit"
 
+    def test_checkpoint_written_before_ipc_was_removed_loads(
+        self, dataset, tmp_path
+    ):
+        with make_trainer() as trainer:
+            fit(
+                trainer,
+                dataset,
+                epochs=1,
+                checkpoint=CheckpointPolicy(directory=tmp_path),
+            )
+        ckpt = TrainingCheckpoint.load(latest_checkpoint(tmp_path))
+        ckpt.meta["config"]["ipc"] = "shm"
+        old = ckpt.save(tmp_path / "old.npz")
+        with make_trainer() as resumed:
+            history = fit(resumed, dataset, epochs=2, resume_from=old)
+        assert len(history.epochs) == 2
+        assert not hasattr(TrainingCheckpoint.load(old).config, "ipc")
+
     def test_policy_validation(self, tmp_path):
         with pytest.raises(ValueError, match="every_steps"):
             CheckpointPolicy(directory=tmp_path, every_steps=0)

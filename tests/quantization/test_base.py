@@ -50,7 +50,7 @@ class TestRegistry:
         assert decoded.shape == grad.shape
 
     def test_unknown_name_rejected(self):
-        with pytest.raises(ValueError, match="unknown quantizer"):
+        with pytest.raises(ValueError, match="unknown scheme"):
             make_quantizer("qsgd-banana")
 
     def test_bucket_override(self):

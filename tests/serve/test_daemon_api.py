@@ -1,6 +1,7 @@
 """In-process daemon: lifecycle, admission, cancellation, REST API."""
 
 import json
+import socket
 
 import pytest
 
@@ -55,14 +56,22 @@ class TestDaemonLifecycle:
 
     def test_oversized_world_size_rejected_at_submit(self, daemon):
         with pytest.raises(ValueError, match="exceeds the pool"):
-            daemon.submit({**TINY_SPEC, "world_size": 64})
+            daemon.submit(
+                {**TINY_SPEC, "world_size": 64, "batch_size": 64}
+            )
+
+    def test_impossible_cell_rejected_at_submit(self, daemon):
+        with pytest.raises(ValueError, match="batch_size must be >= world"):
+            daemon.submit({**TINY_SPEC, "world_size": 2, "batch_size": 1})
+        assert daemon.store.list() == []
+        assert list(daemon.store.jobs_dir.iterdir()) == []
 
     def test_config_error_surfaces_as_failed_with_traceback(self, daemon):
-        # passes spec validation, but TrainingConfig (built in the
-        # runner) rejects batch_size < world_size
-        record = daemon.submit(
-            {**TINY_SPEC, "world_size": 2, "batch_size": 1}
-        )
+        # submission validates the whole cell, so a runner only meets a
+        # bad spec when the stored record was changed behind its back
+        record = daemon.submit({**TINY_SPEC, "world_size": 2})
+        record.spec.config.batch_size = 1
+        daemon.store.save(record)
         final = drive_to_terminal(daemon, record.job_id)
         assert final.state == JobState.FAILED
         assert "batch_size" in final.result["traceback"]
@@ -232,6 +241,57 @@ class TestRestApi:
         code, body = http_json(base + "/jobs", {"priority": 1})
         assert code == 400 and "spec" in body["error"]
         code, body = http_json(
-            base + "/jobs", {"spec": {**TINY_SPEC, "world_size": 99}}
+            base + "/jobs",
+            {"spec": {**TINY_SPEC, "world_size": 99, "batch_size": 99}},
         )
         assert code == 400 and "max_ranks" in body["error"]
+
+    def test_invalid_cell_is_400_and_leaves_no_job_dir(self, api):
+        daemon, base = api
+        code, body = http_json(base + "/jobs", {"spec": {
+            "scheme": "bogus", "exchange": "nope",
+            "world_size": 4, "batch_size": 2,
+        }})
+        assert code == 400 and "qsgd4" in body["error"]
+        code, body = http_json(
+            base + "/jobs", {"spec": {"world_size": 2, "batch_size": 1}}
+        )
+        assert code == 400 and "batch_size" in body["error"]
+        assert list(daemon.store.jobs_dir.iterdir()) == []
+
+    def raw_post(self, base, head_lines, body=b""):
+        """POST /jobs with hand-written headers; returns the status code."""
+        host, port = base.removeprefix("http://").split(":")
+        head = "\r\n".join(["POST /jobs HTTP/1.0", *head_lines, "", ""])
+        with socket.create_connection((host, int(port)), timeout=10) as conn:
+            conn.sendall(head.encode() + body)
+            reply = b""
+            while chunk := conn.recv(65536):
+                reply += chunk
+        status, _, payload = reply.partition(b"\r\n\r\n")
+        return int(status.split()[1]), json.loads(payload)
+
+    @pytest.mark.parametrize("length", ["-1", "ten", "1e3"])
+    def test_bad_content_length_is_400_not_a_hang(self, api, length):
+        _, base = api
+        code, body = self.raw_post(base, [f"Content-Length: {length}"])
+        assert code == 400 and "Content-Length" in body["error"]
+
+    def test_oversize_body_is_413_before_any_read(self, api):
+        from repro.serve.api import MAX_BODY_BYTES
+
+        daemon, base = api
+        code, body = self.raw_post(
+            base, [f"Content-Length: {MAX_BODY_BYTES + 1}"]
+        )
+        assert code == 413 and str(MAX_BODY_BYTES) in body["error"]
+        assert daemon.store.list() == []
+
+    def test_truncated_json_body_is_400(self, api):
+        daemon, base = api
+        raw = json.dumps({"spec": TINY_SPEC}).encode()[:-7]
+        code, body = self.raw_post(
+            base, [f"Content-Length: {len(raw)}"], raw
+        )
+        assert code == 400 and "error" in body
+        assert daemon.store.list() == []

@@ -147,5 +147,66 @@ class TestTransitions:
             JobSpec.from_dict({**TINY_SPEC, "model": "gpt5"})
         with pytest.raises(ValueError, match="epochs must be >= 1"):
             JobSpec.from_dict({**TINY_SPEC, "epochs": 0})
-        with pytest.raises(ValueError, match="timeout_s must be positive"):
+        with pytest.raises(ValueError, match="timeout_s must be > 0"):
             JobSpec.from_dict({**TINY_SPEC, "timeout_s": -1})
+
+    @pytest.mark.parametrize(
+        "field, choices",
+        [
+            ("scheme", ("qsgd4", "aqsgd<bits>")),
+            ("exchange", ("mpi", "nccl", "alltoall")),
+            ("engine", ("sequential", "threaded", "process")),
+            ("policy", ("static", "adaptive")),
+            ("sync_mode", ("allreduce", "local_sgd")),
+        ],
+    )
+    def test_spec_rejects_unknown_cell_listing_choices(self, field, choices):
+        with pytest.raises(ValueError) as err:
+            JobSpec.from_dict({**TINY_SPEC, field: "bogus"})
+        assert "bogus" in str(err.value)
+        for choice in choices:
+            assert choice in str(err.value)
+
+    def test_spec_rejects_impossible_cell(self):
+        with pytest.raises(ValueError, match="batch_size must be >= world"):
+            JobSpec.from_dict({**TINY_SPEC, "world_size": 4, "batch_size": 2})
+        with pytest.raises(ValueError, match="world_size must be int"):
+            JobSpec.from_dict({**TINY_SPEC, "world_size": "4"})
+
+    def test_spec_dict_roundtrip_is_flat(self):
+        spec = JobSpec.from_dict({**TINY_SPEC, "scheme": "topk0.01"})
+        flat = spec.to_dict()
+        assert flat["scheme"] == "topk0.01" and flat["world_size"] == 1
+        assert "config" not in flat
+        assert JobSpec.from_dict(flat) == spec
+
+
+class TestBadRecordOnRescan:
+    """One record that no longer validates must not stop a restart."""
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda r: r["spec"].update(ipc="shm"),  # unknown spec field
+            lambda r: r["spec"].update(scheme="bogus"),
+            lambda r: r.pop("seq"),  # missing key
+            lambda r: r.pop("spec"),
+        ],
+        ids=["unknown-field", "rejected-scheme", "missing-key", "no-spec"],
+    )
+    def test_bad_record_is_skipped_and_named(self, tmp_path, capsys, damage):
+        store = make_store(tmp_path)
+        keep = store.submit(JobSpec.from_dict(TINY_SPEC))
+        bad = store.submit(JobSpec.from_dict(TINY_SPEC))
+        payload = json.loads(store.record_path(bad.job_id).read_text())
+        damage(payload)
+        store.record_path(bad.job_id).write_text(json.dumps(payload))
+
+        rescanned = JobStore(store.root)
+        assert [r.job_id for r in rescanned.list()] == [keep.job_id]
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"skipping {bad.job_id}" in err
+        # the skipped directory keeps its id: a new job never inherits
+        # the bad job's checkpoints
+        fresh = rescanned.submit(JobSpec.from_dict(TINY_SPEC))
+        assert fresh.job_id not in (keep.job_id, bad.job_id)

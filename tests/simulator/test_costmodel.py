@@ -78,6 +78,44 @@ class TestWork:
         )
 
 
+class TestGroupCounts:
+    # total quantization groups of AlexNet at K=4, as the isinstance
+    # ladder this replaced counted them; the calibration depends on them
+    @pytest.mark.parametrize(
+        "scheme, groups",
+        [("32bit", 0), ("1bit", 1164264), ("1bit*", 973952),
+         ("qsgd4", 121744)],
+    )
+    def test_paper_families_keep_their_counts(self, scheme, groups):
+        assert cached_cost_model("AlexNet", scheme, 4).total_groups == groups
+
+    @pytest.mark.parametrize(
+        "scheme",
+        ["1bit", "1bit*", "qsgd4", "aqsgd4", "terngrad", "terngrad2.5",
+         "dettmers8", "dettmers8c"],
+    )
+    @pytest.mark.parametrize("shape", [(16, 16), (7, 13), (128, 65)])
+    def test_group_count_is_the_number_of_scales_encoded(self, scheme, shape):
+        import numpy as np
+
+        from repro.quantization import make_quantizer
+
+        codec = make_quantizer(scheme, bucket_size=32)
+        grad = np.random.default_rng(0).normal(size=shape).astype(np.float32)
+        payload = codec.encode(grad, np.random.default_rng(1)).payload
+        scales = payload.get("scales", payload.get("avg_pos"))
+        assert codec.group_count(shape) == scales.size
+
+    @pytest.mark.parametrize(
+        "scheme", ["terngrad", "dettmers8", "dettmers8c", "topk0.01",
+                   "aqsgd4"]
+    )
+    def test_every_codec_is_costable(self, scheme):
+        cost = cached_cost_model("AlexNet", scheme, 4)
+        assert cost.total_groups > 0
+        assert cost.quant_work_units(1.0) > cost.quantized_elements
+
+
 class TestCache:
     def test_cached_model_reused(self):
         a = cached_cost_model("AlexNet", "qsgd4", 8, None)

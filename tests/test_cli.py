@@ -5,6 +5,14 @@ import pytest
 from repro.cli import main
 
 
+def argparse_exit(argv) -> int:
+    """The status argparse itself exits ``main`` with (bad choice, bad
+    ``type=`` value, unknown flag): ``SystemExit``, never a return."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    return exc.value.code
+
+
 class TestCli:
     def test_list(self, capsys):
         assert main(["list"]) == 0
@@ -120,7 +128,7 @@ class TestTrainCommand:
         assert "aggregation_frequency" in capsys.readouterr().err
 
     def test_unknown_sync_mode_error_lists_choices(self, capsys):
-        code = main(self.ARGS + ["--sync-mode", "gossip"])
+        code = argparse_exit(self.ARGS + ["--sync-mode", "gossip"])
         assert code == 2
         err = capsys.readouterr().err
         assert "allreduce" in err
@@ -132,9 +140,40 @@ class TestTrainCommand:
         assert "momentum" in capsys.readouterr().err
 
     def test_bad_kill_point_rejected(self, capsys):
-        code = main(self.ARGS + ["--kill-point", "nonsense"])
+        code = argparse_exit(self.ARGS + ["--kill-point", "nonsense"])
         assert code == 2
         assert "RANK:STEP" in capsys.readouterr().err
+
+    def test_kill_points_are_recovered_to_the_clean_digest(self, capsys):
+        # the repeatable flag end to end (README / CI resume-after-kill
+        # spell it this way): each kill fires once and is retried
+        clean = self.ARGS + ["--world-size", "2"]
+        assert main(clean) == 0
+        digest = capsys.readouterr().out.splitlines()[-1]
+        assert digest.startswith("history digest:")
+        code = main(
+            clean
+            + [
+                "--kill-point", "0:1",
+                "--kill-point", "1:0",
+                "--max-retries", "1",
+                "--retry-backoff", "0",
+            ]
+        )
+        assert code == 0
+        assert capsys.readouterr().out.splitlines()[-1] == digest
+
+    def test_straggler_ranks_take_a_list(self, capsys):
+        code = main(
+            self.ARGS
+            + [
+                "--world-size", "2",
+                "--straggler-ranks", "0", "1",
+                "--straggler-delay", "0.001",
+            ]
+        )
+        assert code == 0
+        assert "final test accuracy" in capsys.readouterr().out
 
     def test_transient_crash_retried_to_success(self, capsys):
         code = main(
@@ -242,8 +281,7 @@ class TestTrace:
     def args(self, tmp_path, *extra):
         return [
             "trace",
-            "--scheme", "qsgd",
-            "--bits", "4",
+            "--scheme", "qsgd4",
             "--gpus", "2",
             "--train-samples", "32",
             "--test-samples", "16",
@@ -293,18 +331,12 @@ class TestTrace:
             assert "cross-validation" in out
             assert "predicted exchange makespan" in out
 
-    def test_trace_rejects_bits_without_qsgd(self, capsys, tmp_path):
-        code = main(
-            self.args(tmp_path)[:1]
-            + ["--scheme", "1bit", "--bits", "4"]
-        )
-        assert code == 2
-        assert "--bits only applies" in capsys.readouterr().err
-
-    def test_trace_requires_bits_for_qsgd(self, capsys, tmp_path):
-        code = main(["trace", "--scheme", "qsgd"])
-        assert code == 2
-        assert "requires --bits" in capsys.readouterr().err
+    def test_trace_bits_flag_is_gone(self, capsys):
+        # the word length is part of the scheme name on every surface
+        assert argparse_exit(["trace", "--scheme", "qsgd4", "--bits", "4"]) == 2
+        assert "--bits" in capsys.readouterr().err
+        assert argparse_exit(["trace", "--scheme", "qsgd"]) == 2
+        assert "qsgd4" in capsys.readouterr().err
 
 
 class TestFabricCommand:
