@@ -655,7 +655,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--poll-interval", type=float, default=0.05,
-        help="scheduler tick interval in seconds",
+        help="longest wait between scheduler ticks, in seconds (events end it early)",
     )
     serve.add_argument(
         "--max-restarts", type=int, default=3,

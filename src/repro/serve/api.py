@@ -2,7 +2,10 @@
 
 Endpoints::
 
-    GET    /healthz                 daemon liveness + pool/queue stats
+    GET    /healthz                 daemon liveness + pool/queue stats,
+                                    incl. ``runners``: zygote state
+                                    (warm / starting / down), zygote
+                                    starts, runners forked
     GET    /jobs[?state=...]        job summaries, submission order
     POST   /jobs                    submit {"spec": {...}, "priority": n}
     GET    /jobs/<id>               one full job record (+ result)
@@ -145,6 +148,7 @@ class _ServeHandler(BaseHTTPRequestHandler):
             "queue": daemon.queue.name,
             "scheduler": daemon.scheduler.name,
             "jobs": daemon.store.counts(),
+            "runners": daemon.runners(),
         })
 
     def _list_jobs(self, query: dict) -> None:

@@ -39,6 +39,7 @@ __all__ = [
     "JobState",
     "JobStore",
     "TERMINAL_STATES",
+    "process_start_time",
     "read_json",
     "write_json_atomic",
 ]
@@ -86,6 +87,27 @@ def read_json(path: str | os.PathLike) -> dict | None:
         return None
 
 
+def process_start_time(pid: int) -> int | None:
+    """Start time of live process ``pid`` (clock ticks since boot).
+
+    Field 22 of ``/proc/<pid>/stat``.  Paired with the pid it names one
+    process for the machine's uptime: a recycled pid starts later, so
+    it reads a different value.  ``None`` when there is no such
+    process or it is an unreaped zombie -- a runner that has exited is
+    gone whether or not anyone has waited for it.
+    """
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_bytes()
+    except OSError:
+        return None
+    # the command (field 2) is parenthesised and may itself hold
+    # spaces or parentheses; field 3 (the state) follows its last ")"
+    fields = stat.rsplit(b")", 1)[1].split()
+    if fields[0] in (b"Z", b"X"):
+        return None
+    return int(fields[19])
+
+
 @dataclass
 class JobRecord:
     """One job as the daemon tracks it.
@@ -99,6 +121,9 @@ class JobRecord:
         cancel_requested: set by the API; the daemon turns it into a
             SIGTERM (running) or an immediate ``cancelled`` (queued).
         pid: the runner process id while ``running``.
+        pid_start_time: that process's :func:`process_start_time`; the
+            daemon signals ``pid`` only while it still reads this value
+            (``None`` in records written before the field existed).
         restarts: times the runner died without writing a result and
             the job was requeued to resume (daemon crash, SIGKILL);
             past the daemon's ``max_restarts`` the job is evicted.
@@ -114,6 +139,7 @@ class JobRecord:
     state: str = JobState.QUEUED
     cancel_requested: bool = False
     pid: int | None = None
+    pid_start_time: int | None = None
     restarts: int = 0
     submitted_at: float = field(default_factory=time.time)
     started_at: float | None = None

@@ -1,6 +1,6 @@
 """One job's worker process: ``python -m repro.serve.runner <job-dir>``.
 
-The daemon spawns one runner per admitted job.  The runner rebuilds
+The daemon runs one runner per admitted job.  The runner rebuilds
 model + dataset + config from the job's spec, trains under the
 existing :class:`~repro.core.ParallelTrainer` with per-step
 checkpoints into the job's own ``ckpts/`` directory, and — if a
@@ -26,6 +26,21 @@ and reports ``cancelled`` itself.  If the *daemon* dies instead, the
 runner notices it was reparented (``os.getppid()``) and exits without
 a result so the restarted daemon resumes it — orphans never train to
 completion unsupervised.
+
+The daemon does not pay an interpreter start per job.  It keeps one
+**zygote** (``python -m repro.serve.runner --zygote <fd>``, the
+daemon's private entry): a single-threaded process that imports the
+training stack and loads the kernel backend once, then forks a child
+per job directory it is sent over the socket ``<fd>``.  The child's
+body is :func:`main` with that directory — the same function the
+standalone command runs — so a job is still one process that can be
+signalled, killed and resumed.  The zygote itself never builds a
+model, draws from an RNG or opens a job directory: every fork starts
+from the same pristine image, and a job's bits cannot depend on what
+ran before it.  The runner's parent is now the zygote, which exits
+when the daemon's end of the socket closes; the reparenting check
+above then stops the runner, so the chain daemon → zygote → runner
+dies from the top down.
 """
 
 from __future__ import annotations
@@ -33,6 +48,7 @@ from __future__ import annotations
 import json
 import os
 import signal
+import socket
 import sys
 import time
 import traceback
@@ -42,7 +58,12 @@ from ..core import TrainingInterrupted
 from ..core.checkpoint import checkpoint_steps
 from ..telemetry import Tracer, write_chrome_trace
 from .jobspec import JobSpec
-from .jobstore import JobState, read_json, write_json_atomic
+from .jobstore import (
+    JobState,
+    process_start_time,
+    read_json,
+    write_json_atomic,
+)
 
 __all__ = ["ORPHAN_EXIT_CODE", "main", "run_job"]
 
@@ -166,8 +187,87 @@ def run_job(
     return finish(JobState.SUCCEEDED, history=history)
 
 
+def _forked_runner(request: dict, channel_fd: int):  # pragma: no cover - forked
+    """A process the zygote just forked: become the job's runner.
+
+    Answers the daemon's request itself -- ``[pid, start time]``, one
+    line, so the answer arrives when the runner is running, not when
+    the zygote is next scheduled -- then gives the process what a
+    freshly started runner has: its own ``runner.log`` on fds 1 and 2,
+    default ``SIGCHLD`` / ``SIGINT`` dispositions (the process engine
+    waits for its ranks), no copy of the control socket.  Then runs
+    :func:`main`.  Never returns into the zygote's loop: the process
+    ends here whatever happens.
+    """
+    code = 1
+    try:
+        pid = os.getpid()
+        reply = json.dumps([pid, process_start_time(pid)]) + "\n"
+        os.write(channel_fd, reply.encode())
+        os.close(channel_fd)
+        signal.signal(signal.SIGCHLD, signal.SIG_DFL)
+        signal.signal(signal.SIGINT, signal.default_int_handler)
+        log = os.open(
+            request["log"], os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644
+        )
+        os.dup2(log, 1)
+        os.dup2(log, 2)
+        os.close(log)
+        code = main([request["job_dir"]])
+    except BaseException:
+        traceback.print_exc()
+    finally:
+        try:
+            sys.stdout.flush()
+            sys.stderr.flush()
+        finally:
+            os._exit(code)
+
+
+def _zygote(channel_fd: int) -> int:  # pragma: no cover - forked
+    """Fork one runner per request until the daemon closes the socket.
+
+    Requests and replies are JSON lines on ``channel_fd``, never fd 1
+    (a stray ``print`` from an import must not corrupt the protocol):
+    ``"ready"`` once the imports are done, then for each request
+    ``{"job_dir": ..., "log": ...}`` a reply ``[pid, start_time]``
+    written by the forked child (the daemon has one request in flight
+    at a time, so lines never interleave).  Exited runners are reaped
+    by the kernel (``SIGCHLD`` ignored); the daemon watches them by
+    pid and start time, not through the zygote.
+    """
+    signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+    # a terminal's Ctrl-C goes to the whole foreground group; the
+    # zygote stays until the daemon has shut its runners down
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    # the runners' orphan watch: their parent is this process
+    os.environ["REPRO_SERVE_DAEMON_PID"] = str(os.getpid())
+    # what a job would import on first use, and the kernel backend
+    # (loading the compiled one dlopens its .so)
+    import zipfile  # noqa: F401 - numpy.savez, at the first checkpoint
+
+    import numpy.random  # noqa: F401
+
+    from ..quantization import kernels
+
+    kernels.active()
+    with socket.socket(fileno=channel_fd) as channel, \
+            channel.makefile("rb") as requests:
+        channel.sendall(b'"ready"\n')
+        for line in requests:
+            request = json.loads(line)
+            # text still buffered would be written by both processes
+            sys.stdout.flush()
+            sys.stderr.flush()
+            if os.fork() == 0:
+                _forked_runner(request, channel_fd)
+    return 0
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
+    if len(argv) == 2 and argv[0] == "--zygote":  # pragma: no cover - forked
+        return _zygote(int(argv[1]))
     if len(argv) != 1:
         print("usage: python -m repro.serve.runner <job-dir>",
               file=sys.stderr)

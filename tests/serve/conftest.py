@@ -7,7 +7,8 @@ import urllib.request
 
 import pytest
 
-from repro.serve import TERMINAL_STATES, ServeDaemon
+from repro.serve import TERMINAL_STATES, JobSpec, JobStore, ServeDaemon
+from repro.serve.runner import run_job
 
 #: a job small enough to finish in well under a second
 TINY_SPEC = {
@@ -33,6 +34,14 @@ SLOW_SPEC = {
     "test_samples": 16,
     "image_size": 8,
 }
+
+
+def reference_result(spec, root):
+    """``result.json`` of an uninterrupted in-process run of ``spec``."""
+    store = JobStore(root)
+    record = store.submit(JobSpec.from_dict(spec))
+    assert run_job(store.job_dir(record.job_id)) == 0
+    return store.read_result(record.job_id)
 
 
 def http_json(url, payload=None, method=None):

@@ -199,6 +199,15 @@ class TestRestApi:
         assert health["ok"] and health["max_ranks"] == 2
         assert health["queue"] == "priority"
         assert health["scheduler"] == "first-fit"
+        # nothing admitted yet: no zygote has been started
+        assert health["runners"] == {
+            "zygote": "down", "zygote_starts": 0, "forked": 0,
+        }
+        drive_to_terminal(daemon, daemon.submit(TINY_SPEC).job_id)
+        _, health = http_json(base + "/healthz")
+        assert health["runners"] == {
+            "zygote": "warm", "zygote_starts": 1, "forked": 1,
+        }
 
     def test_metrics_endpoint_streams_ndjson(self, api):
         daemon, base = api

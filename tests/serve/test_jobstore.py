@@ -1,6 +1,10 @@
 """Job store: atomic writes, rescan, and state-transition persistence."""
 
 import json
+import os
+import subprocess
+import sys
+import time
 
 import pytest
 
@@ -13,6 +17,8 @@ from repro.serve import (
     read_json,
     write_json_atomic,
 )
+
+from repro.serve.jobstore import process_start_time
 
 from .conftest import TINY_SPEC
 
@@ -62,6 +68,30 @@ class TestAtomicity:
         path = write_json_atomic(tmp_path / "deep" / "result.json",
                                  {"state": "succeeded", "digest": "abc"})
         assert json.loads(path.read_text())["digest"] == "abc"
+
+
+class TestProcessStartTime:
+    def test_names_one_process_for_as_long_as_it_lives(self):
+        child = subprocess.Popen([sys.executable, "-c", "input()"],
+                                 stdin=subprocess.PIPE)
+        try:
+            start_time = process_start_time(child.pid)
+            assert isinstance(start_time, int)
+            assert process_start_time(child.pid) == start_time
+            assert start_time >= process_start_time(os.getpid())
+        finally:
+            child.kill()
+        # killed but not yet waited for: a zombie is already gone
+        deadline = time.monotonic() + 10.0
+        while (
+            process_start_time(child.pid) is not None
+            and time.monotonic() < deadline
+        ):
+            time.sleep(0.005)
+        assert process_start_time(child.pid) is None
+        assert os.path.exists(f"/proc/{child.pid}/stat")
+        child.communicate()
+        assert process_start_time(child.pid) is None
 
 
 class TestRescan:
@@ -130,6 +160,17 @@ class TestTransitions:
         record = store.submit(JobSpec.from_dict(TINY_SPEC), priority=7)
         clone = JobRecord.from_dict(record.to_dict())
         assert clone == record
+
+    def test_record_of_the_previous_version_loads(self, tmp_path):
+        # written before pid_start_time existed: the key is absent
+        store = make_store(tmp_path)
+        record = store.submit(JobSpec.from_dict(TINY_SPEC))
+        store.update(record.job_id, state=JobState.RUNNING, pid=4242)
+        payload = read_json(store.record_path(record.job_id))
+        del payload["pid_start_time"]
+        write_json_atomic(store.record_path(record.job_id), payload)
+        loaded = JobStore(store.root).get(record.job_id)
+        assert loaded.pid == 4242 and loaded.pid_start_time is None
 
     def test_counts(self, tmp_path):
         store = make_store(tmp_path)

@@ -1,19 +1,64 @@
 """Restart reconciliation in-process, runner entry point, serve CLI."""
 
+import contextlib
 import os
 import signal
 import subprocess
 import sys
 import threading
+import time
 import urllib.request
+from pathlib import Path
 
 import pytest
 
 from repro.cli import main as cli_main
 from repro.serve import JobSpec, JobState, JobStore, ServeDaemon
+from repro.serve.daemon import _Runner
+from repro.serve.jobstore import process_start_time
 from repro.serve.runner import main as runner_main
 
 from .conftest import SLOW_SPEC, TINY_SPEC, drive_to_terminal
+
+
+@contextlib.contextmanager
+def foreign_runner(job_dir):
+    """A live cold-started runner of ``job_dir`` that is not our child.
+
+    Its parent is a launcher that stays until its stdin closes, so the
+    runner is neither ours to reap nor an orphan (some sandboxes kill
+    orphans at once).  Killed, it stays a zombie until the launcher
+    goes -- exactly what a rescan must treat as gone.
+    """
+    launcher = subprocess.Popen(
+        [sys.executable, "-c",
+         "import subprocess, sys\n"
+         "child = subprocess.Popen(\n"
+         "    [sys.executable, '-m', 'repro.serve.runner',\n"
+         "     sys.argv[1]],\n"
+         "    stdout=subprocess.DEVNULL,\n"
+         "    stderr=subprocess.STDOUT)\n"
+         "print(child.pid, flush=True)\n"
+         "sys.stdin.read()",
+         str(job_dir)],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
+    )
+    pid = int(launcher.stdout.readline())
+    # Popen returns when exec has begun; the new command line is in
+    # /proc a moment later
+    deadline = time.monotonic() + 10.0
+    while (
+        b"repro.serve.runner"
+        not in Path(f"/proc/{pid}/cmdline").read_bytes()
+        and time.monotonic() < deadline
+    ):
+        time.sleep(0.001)
+    try:
+        yield pid
+    finally:
+        if process_start_time(pid) is not None:
+            os.kill(pid, signal.SIGKILL)
+        launcher.communicate(timeout=30)
 
 
 def seeded_store(tmp_path, spec=TINY_SPEC, **fields):
@@ -41,44 +86,67 @@ class TestRescan:
         assert final.state == JobState.SUCCEEDED
 
     def test_recycled_pid_is_not_killed(self, tmp_path):
-        # our own (alive) pid recorded against the job: the cmdline
-        # check must recognise it is not a runner and leave it alone
+        # our own (alive) pid recorded against the job, as a record of
+        # the previous version (no start time): the legacy cmdline rule
+        # must recognise it is not a runner and leave it alone
         store, job_id = seeded_store(
             tmp_path, state=JobState.RUNNING, pid=os.getpid()
         )
         with ServeDaemon(store.root, max_ranks=2) as daemon:
             assert daemon.store.get(job_id).state == JobState.QUEUED
 
-    def test_live_orphan_runner_is_killed_before_requeue(self, tmp_path):
+    def test_pid_with_another_start_time_is_not_signalled(self, tmp_path):
+        # a live runner of this very job dir, but recorded with a start
+        # time it does not have -- what a recycled pid looks like.  It
+        # must survive the rescan and every later kill path.
         store, job_id = seeded_store(tmp_path, SLOW_SPEC)
-        # double-fork so the runner is reparented to init, exactly like
-        # a runner whose daemon was SIGKILLed (and so the zombie is not
-        # ours to reap)
-        launcher = subprocess.run(
-            [sys.executable, "-c",
-             "import subprocess, sys\n"
-             "child = subprocess.Popen(\n"
-             "    [sys.executable, '-m', 'repro.serve.runner',\n"
-             "     sys.argv[1]],\n"
-             "    stdout=subprocess.DEVNULL,\n"
-             "    stderr=subprocess.STDOUT)\n"
-             "print(child.pid)",
-             str(store.job_dir(job_id))],
-            capture_output=True, text=True, check=True, timeout=30,
-        )
-        orphan_pid = int(launcher.stdout)
-        store.update(job_id, state=JobState.RUNNING, pid=orphan_pid)
-        try:
+        with foreign_runner(store.job_dir(job_id)) as pid:
+            start_time = process_start_time(pid)
+            assert start_time is not None
+            store.update(
+                job_id, state=JobState.RUNNING, pid=pid,
+                pid_start_time=start_time + 1,
+                spec=JobSpec.from_dict({**SLOW_SPEC, "timeout_s": 0.01}),
+            )
             with ServeDaemon(store.root, max_ranks=2) as daemon:
-                # rescan SIGKILLed the verified orphan and requeued
-                with pytest.raises(ProcessLookupError):
-                    os.kill(orphan_pid, 0)
                 assert daemon.store.get(job_id).state == JobState.QUEUED
-        finally:
-            try:
-                os.kill(orphan_pid, signal.SIGKILL)
-            except ProcessLookupError:
-                pass
+                assert process_start_time(pid) == start_time
+                # adopt it under the wrong identity: cancel, timeout
+                # enforcement and close() all go through the same check
+                daemon._children[job_id] = _Runner(pid, start_time + 1, None)
+                daemon.cancel(job_id)
+                daemon.step()
+            assert process_start_time(pid) == start_time
+
+    def test_live_orphan_runner_is_killed_before_requeue(self, tmp_path):
+        # a store left by the previous version of the daemon: the
+        # running record has a pid and no start time, and the runner
+        # is a plain `python -m repro.serve.runner <job-dir>`
+        store, job_id = seeded_store(tmp_path, SLOW_SPEC)
+        with foreign_runner(store.job_dir(job_id)) as pid:
+            store.update(job_id, state=JobState.RUNNING, pid=pid)
+            started = time.monotonic()
+            with ServeDaemon(store.root, max_ranks=2) as daemon:
+                # rescan SIGKILLed the verified runner, then requeued;
+                # its unreaped zombie does not count as alive
+                assert process_start_time(pid) is None
+                assert daemon.store.get(job_id).state == JobState.QUEUED
+            assert time.monotonic() - started < 8.0
+
+    def test_live_runner_with_start_time_is_killed_before_requeue(
+        self, tmp_path
+    ):
+        store, job_id = seeded_store(tmp_path, SLOW_SPEC)
+        with foreign_runner(store.job_dir(job_id)) as pid:
+            store.update(
+                job_id, state=JobState.RUNNING, pid=pid,
+                pid_start_time=process_start_time(pid),
+            )
+            with ServeDaemon(store.root, max_ranks=2) as daemon:
+                assert process_start_time(pid) is None
+                record = daemon.store.get(job_id)
+                assert record.state == JobState.QUEUED
+                assert record.pid is None and record.pid_start_time is None
 
     def test_exhausted_restarts_evict(self, tmp_path):
         store, job_id = seeded_store(

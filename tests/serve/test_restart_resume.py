@@ -17,10 +17,10 @@ from pathlib import Path
 
 import pytest
 
-from repro.serve import JobSpec, JobState, JobStore, TERMINAL_STATES
-from repro.serve.runner import run_job
+from repro.serve import JobState, JobStore, TERMINAL_STATES
+from repro.serve.jobstore import process_start_time
 
-from .conftest import SLOW_SPEC, TINY_SPEC, http_json
+from .conftest import SLOW_SPEC, TINY_SPEC, http_json, reference_result
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 
@@ -38,10 +38,7 @@ BATCH = [
 
 def reference_digest(spec, tmp_path, tag):
     """Digest of an uninterrupted in-process run of ``spec``."""
-    store = JobStore(tmp_path / f"ref-{tag}")
-    record = store.submit(JobSpec.from_dict(spec))
-    assert run_job(store.job_dir(record.job_id)) == 0
-    return store.read_result(record.job_id)["digest"]
+    return reference_result(spec, tmp_path / f"ref-{tag}")["digest"]
 
 
 def start_daemon(root, *extra):
@@ -65,6 +62,8 @@ def wait_for(predicate, timeout=60.0, message="condition"):
         if predicate():
             return
         time.sleep(0.05)
+    if callable(message):
+        message = message()
     pytest.fail(f"{message} not reached within {timeout}s")
 
 
@@ -106,6 +105,19 @@ def test_sigkill_restart_resumes_bit_identically(tmp_path):
             return False
 
         wait_for(slow_job_mid_flight, message="slow job mid-flight")
+        # the jobs were forked from the warm zygote, not cold-started
+        _, health = http_json(base + "/healthz")
+        assert health["runners"]["zygote"] == "warm"
+        assert health["runners"]["zygote_starts"] == 1
+        assert health["runners"]["forked"] >= 1
+        in_flight = [
+            (record.pid, record.pid_start_time)
+            for record in JobStore(root).list(JobState.RUNNING)
+        ]
+        assert in_flight and all(
+            process_start_time(pid) == start_time
+            for pid, start_time in in_flight
+        )
         os.kill(process.pid, signal.SIGKILL)
         process.wait(timeout=30)
     finally:
@@ -113,17 +125,31 @@ def test_sigkill_restart_resumes_bit_identically(tmp_path):
             process.kill()
             process.wait(timeout=30)
 
-    # orphaned runners notice the dead daemon via getppid() and exit
-    # on their own, without writing a result
-    def no_runners_left():
-        return not any(
-            "repro.serve.runner" in path.read_bytes().decode(
-                errors="replace")
-            for path in Path("/proc").glob("[0-9]*/cmdline")
-            if path.is_file()
-        )
+    # the chain dies from the top: the zygote reads EOF on its socket
+    # and exits, the runners (whose command line is the zygote's) see
+    # their parent gone and exit without writing a result
+    def runners_left():
+        found = []
+        for path in Path("/proc").glob("[0-9]*/cmdline"):
+            try:
+                cmdline = path.read_bytes()
+                if b"repro.serve.runner" in cmdline:
+                    found.append(
+                        (path.parent / "stat").read_text().split()[:4]
+                        + cmdline.decode(errors="replace").split("\0")
+                    )
+            except OSError:
+                continue
+        return found
 
-    wait_for(no_runners_left, timeout=30, message="orphan runner exit")
+    wait_for(
+        lambda: not runners_left(), timeout=30,
+        message=lambda: f"exit of {runners_left()}",
+    )
+    assert not any(
+        process_start_time(pid) == start_time
+        for pid, start_time in in_flight
+    )
 
     # restart in drain mode: rescan requeues the interrupted jobs and
     # the daemon exits once everything is terminal

@@ -3,9 +3,11 @@
 Run:  PYTHONPATH=src python tools/serve_loadtest.py [--jobs 200]
 
 Submits a batch of tiny training jobs with mixed priorities and world
-sizes to a daemon with a 4-rank pool, SIGKILLs the daemon while jobs
-are mid-flight, restarts it in ``--drain`` mode, and then checks the
-hard guarantees of the serve subsystem:
+sizes to a daemon with a 4-rank pool, SIGKILLs the daemon's zygote (the
+pre-imported process its runners are forked from) mid-load and waits
+for the daemon to replace it, SIGKILLs the daemon itself while jobs are
+mid-flight, restarts it in ``--drain`` mode, and then checks the hard
+guarantees of the serve subsystem:
 
   * every job reaches a terminal state (here: all succeeded),
   * every digest equals the digest of an uninterrupted in-process run
@@ -117,6 +119,19 @@ def no_runners_left():
     return True
 
 
+def zygote_pid(daemon_pid):
+    """The daemon's ``runner --zygote`` child (``None`` before it starts)."""
+    for path in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            parent = int(path.read_bytes().rsplit(b")", 1)[1].split()[1])
+            cmdline = (path.parent / "cmdline").read_bytes()
+        except (OSError, ValueError, IndexError):
+            continue
+        if parent == daemon_pid and b"--zygote" in cmdline:
+            return int(path.parent.name)
+    return None
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--jobs", type=int, default=200)
@@ -167,6 +182,18 @@ def main() -> int:
         return running_slow and store.counts().get("succeeded", 0) >= 5
 
     wait_for(mid_flight, 300, "jobs mid-flight")
+    zygote = zygote_pid(process.pid)
+    print(f"SIGKILL zygote pid={zygote} mid-load")
+    os.kill(zygote, signal.SIGKILL)
+    done_before = JobStore(store_root).counts().get("succeeded", 0)
+
+    def zygote_replaced():
+        runners = http_json(base + "/healthz")[1]["runners"]
+        done = JobStore(store_root).counts().get("succeeded", 0)
+        return runners["zygote_starts"] >= 2 and done >= done_before + 5
+
+    wait_for(zygote_replaced, 300, "zygote restart")
+    wait_for(mid_flight, 300, "jobs mid-flight again")
     print(f"SIGKILL daemon pid={process.pid} mid-flight")
     os.kill(process.pid, signal.SIGKILL)
     process.wait(timeout=60)
