@@ -38,6 +38,7 @@ import sys
 from pathlib import Path
 
 from .core import (
+    CheckpointError,
     ParallelTrainer,
     RunSpec,
     TrainingCheckpoint,
@@ -159,7 +160,11 @@ def _cmd_resume(args: argparse.Namespace) -> int:
         f"{ckpt.batches_done} batches in)"
     )
     policy = spec.checkpoint_policy(path.parent)
-    history = spec.run(verbose=True, checkpoint=policy, resume_from=ckpt)
+    try:
+        history = spec.run(verbose=True, checkpoint=policy, resume_from=ckpt)
+    except CheckpointError as exc:
+        print(f"repro resume: error: {exc}", file=sys.stderr)
+        return 2
     return _report_run(config, history)
 
 

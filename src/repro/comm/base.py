@@ -124,23 +124,20 @@ class GradientExchange(abc.ABC):
                 )
         return shape
 
-    def state_dict(self) -> dict[str, np.ndarray]:
-        """Copy of any aggregator-side numeric state (empty if stateless).
+    def state_dict(self) -> dict:
+        """Copy of any aggregator-side numeric state, as a state tree.
 
-        Checkpoints persist this, and the engines' retry snapshots
-        restore it, so exchanges with server-side error feedback (the
-        MPI path's re-quantized broadcast) survive both.
+        Empty for a stateless collective.  It is one subtree of the
+        run's state tree (:mod:`repro.statetree`), so checkpoints and
+        retry rollbacks carry exchanges with server-side error feedback
+        (the MPI path's re-quantized broadcast) without naming them.
         """
         return {}
 
-    def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
+    def load_state_dict(self, state: dict) -> None:
         """Restore state captured by :meth:`state_dict`."""
         if state:
             raise ValueError(
                 f"{self.name} exchange is stateless but received "
                 f"{len(state)} state entries"
             )
-
-    def reset(self) -> None:
-        """Clear traffic records (and any aggregator state)."""
-        self.traffic.reset()

@@ -162,30 +162,26 @@ class MpiReduceBroadcast(GradientExchange):
             ),
         )
 
-    def state_dict(self) -> dict[str, np.ndarray]:
-        """Aggregator-side broadcast residuals as ``"owner|stream"`` keys."""
-        state = {
-            f"{owner}|{stream}": residual.copy()
-            for owner, feedback in self._broadcast_feedback.items()
-            for stream, residual in feedback._residuals.items()
-        }
+    def state_dict(self) -> dict:
+        """Aggregator-side broadcast residuals: owner -> stream -> array."""
         # restored-but-not-yet-adopted residuals round-trip unchanged
-        for owner, residuals in self._restored_residuals.items():
-            for stream, residual in residuals.items():
-                state[f"{owner}|{stream}"] = residual.copy()
-        return state
+        held = dict(self._restored_residuals)
+        for owner, feedback in self._broadcast_feedback.items():
+            held[owner] = feedback._residuals
+        return {
+            str(owner): {
+                stream: residual.copy()
+                for stream, residual in residuals.items()
+            }
+            for owner, residuals in held.items()
+        }
 
-    def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
+    def load_state_dict(self, state: dict) -> None:
         self._broadcast_feedback.clear()
-        self._restored_residuals.clear()
-        for key, residual in state.items():
-            owner_text, _, stream = key.partition("|")
-            owner = int(owner_text)
-            self._restored_residuals.setdefault(owner, {})[stream] = (
-                np.array(residual, dtype=np.float32)
-            )
-
-    def reset(self) -> None:
-        super().reset()
-        self._broadcast_feedback.clear()
-        self._restored_residuals.clear()
+        self._restored_residuals = {
+            int(owner): {
+                stream: np.array(residual, dtype=np.float32)
+                for stream, residual in residuals.items()
+            }
+            for owner, residuals in state.items()
+        }

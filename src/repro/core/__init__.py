@@ -2,6 +2,7 @@
 
 from .algorithm import SynchronousStep
 from .checkpoint import (
+    CheckpointError,
     CheckpointPolicy,
     TrainingCheckpoint,
     checkpoint_steps,
@@ -15,6 +16,7 @@ from .trainer import ParallelTrainer, TrainingInterrupted
 
 __all__ = [
     "SynchronousStep",
+    "CheckpointError",
     "CheckpointPolicy",
     "TrainingCheckpoint",
     "checkpoint_steps",

@@ -22,6 +22,7 @@ from ..quantization import (
     QuantizationPolicy,
     make_quantizer,
 )
+from ..statetree import load_arrays
 from ..telemetry.tracer import NULL_TRACER
 from .config import TrainingConfig
 
@@ -31,9 +32,19 @@ __all__ = ["SynchronousStep"]
 class SynchronousStep:
     """Quantized gradient aggregation across ``world_size`` ranks."""
 
-    def __init__(self, config: TrainingConfig, parameters: list[Parameter]):
+    def __init__(
+        self,
+        config: TrainingConfig,
+        parameters: list[Parameter],
+        rank_ids: list[int] | None = None,
+    ):
         self.config = config
         self.world_size = config.world_size
+        #: the id each rank position carries in the state tree (they
+        #: differ from the positions once a rank has been evicted)
+        self.rank_ids = list(
+            range(config.world_size) if rank_ids is None else rank_ids
+        )
         quantizer = self._build_quantizer(config)
         if getattr(config, "policy", "static") == "adaptive":
             # per-layer bit-widths: derived deterministically from the
@@ -105,9 +116,9 @@ class SynchronousStep:
         # "local_sgd" mode: parameter values at the top of the round;
         # the round flush exchanges per-rank deltas against this base
         self._round_base: dict[str, np.ndarray] = {}
-        # bytes already on the wire before this step engine existed
-        # (carried across a mid-run shrink or a checkpoint resume so
-        # per-epoch comm accounting stays continuous)
+        # bytes already on the wire before this step engine's exchange
+        # counted any (carried across a mid-run shrink or a checkpoint
+        # resume so per-epoch comm accounting stays continuous)
         self._comm_bytes_base = 0
 
     @staticmethod
@@ -348,69 +359,76 @@ class SynchronousStep:
         self.exchange.traffic.reset()
         self._comm_bytes_base = 0
 
-    def set_comm_bytes_base(self, nbytes: int) -> None:
-        """Preset bytes already accounted before this engine's traffic."""
-        self._comm_bytes_base = int(nbytes)
+    # -- state tree -------------------------------------------------------
+    def state_dict(self) -> dict:
+        """Copy of everything the collective carries from step to step.
 
-    # -- resilience hooks -------------------------------------------------
-    def snapshot(self) -> dict:
-        """Deep copy of all numeric state a step can mutate.
-
-        Covers the shared quantization RNG, per-rank error-feedback
-        residuals, and any aggregator-side exchange state (the MPI
-        path's broadcast residuals).  Restoring the snapshot makes a
-        partially-executed step as if it never ran, which is what
-        makes step retries sound.
+        The shared quantization RNG, any aggregator-side exchange state
+        (the MPI path's broadcast residuals), the round position and
+        local-SGD round base, the adaptive policy's frozen per-layer
+        scheme table, the epoch's byte count so far, and — under
+        ``ranks/<rank id>`` — each rank's error-feedback residuals and
+        gradient accumulators.  Loading it back makes a partially-run
+        step as if it never ran, which is what makes retries sound.
         """
         return {
             "rng": copy.deepcopy(self.rng.bit_generator.state),
-            "residuals": [
-                {name: array.copy() for name, array in per_rank.items()}
-                for per_rank in self._residuals
-            ],
             "exchange": self.exchange.state_dict(),
             "round_position": self._round_position,
-            "accumulators": [
-                {name: array.copy() for name, array in per_rank.items()}
-                for per_rank in self._accumulators
-            ],
-            "round_base": {
-                name: array.copy()
-                for name, array in self._round_base.items()
+            "round_base": _copies(self._round_base),
+            "policy_assignments": dict(
+                getattr(self.policy, "assignments", None) or {}
+            ),
+            "comm_bytes": self.comm_bytes,
+            "ranks": {
+                str(rank): {
+                    "residuals": _copies(self._residuals[position]),
+                    "accumulators": _copies(self._accumulators[position]),
+                }
+                for position, rank in enumerate(self.rank_ids)
             },
         }
 
-    def restore_snapshot(self, snap: dict) -> None:
-        """Rewind to a state captured by :meth:`snapshot`."""
-        self.rng.bit_generator.state = copy.deepcopy(snap["rng"])
-        self._residuals = [
-            {name: array.copy() for name, array in per_rank.items()}
-            for per_rank in snap["residuals"]
-        ]
-        self.exchange.load_state_dict(
-            {key: array.copy() for key, array in snap["exchange"].items()}
+    def load_state_dict(self, state: dict) -> None:
+        """Adopt :meth:`state_dict` output, in place where buffers exist.
+
+        Per-rank state is picked out by this engine's own rank ids, so
+        a tree captured over a larger world loads into its survivors; a
+        tree without ``exchange`` leaves the exchange as it is.
+        """
+        self.rng.bit_generator.state = copy.deepcopy(state["rng"])
+        if "exchange" in state:
+            self.exchange.load_state_dict(state["exchange"])
+        self._round_position = int(state["round_position"])
+        load_arrays(self._round_base, state["round_base"])
+        if state["policy_assignments"]:
+            # carried bit-width decisions override the fresh derivation
+            # (they should agree — it is a pure function of the identity
+            # fields — but the saved table defines the trajectory)
+            self.policy.assignments = dict(state["policy_assignments"])
+        self._comm_bytes_base = (
+            int(state["comm_bytes"]) - self.exchange.traffic.total_bytes
         )
-        self._round_position = snap["round_position"]
-        self._accumulators = [
-            {name: array.copy() for name, array in per_rank.items()}
-            for per_rank in snap["accumulators"]
-        ]
-        self._round_base = {
-            name: array.copy()
-            for name, array in snap["round_base"].items()
-        }
+        for position, rank in enumerate(self.rank_ids):
+            held = state["ranks"][str(rank)]
+            load_arrays(self._residuals[position], held["residuals"])
+            load_arrays(self._accumulators[position], held["accumulators"])
 
-    def shrink(self, keep: list[int], parameters: list[Parameter]) -> "SynchronousStep":
-        """A new step engine over the surviving rank positions.
+    def shrink(
+        self, keep: list[int], parameters: list[Parameter]
+    ) -> "SynchronousStep":
+        """A new step engine over the surviving rank ids ``keep``.
 
-        ``keep`` holds the *positions* (indices into the current rank
-        order) that survive an eviction.  The shared quantization RNG
-        continues from its current state and the survivors keep their
-        error-feedback residual buffers, so the degraded collective
-        picks up exactly where the full one stopped.  Aggregator-side
-        exchange state is deliberately dropped: the MPI column ranges
-        are re-partitioned over the smaller world, which orphans the
-        old per-range broadcast residuals.
+        The survivors' subtrees are selected out of this engine's state
+        tree: the shared quantization RNG continues from its current
+        state, the survivors keep their error-feedback residuals and
+        partial accumulations (the dead rank's are dropped with it),
+        and the round continues across the eviction — the local-SGD
+        base stays valid, it was captured when all replicas were still
+        equal at the top of the round.  Aggregator-side exchange state
+        is deliberately dropped: the MPI column ranges are
+        re-partitioned over the smaller world, which orphans the old
+        per-range broadcast residuals.
         """
         config = replace(
             self.config,
@@ -420,26 +438,12 @@ class SynchronousStep:
             crash_step=None,
             kill_points=(),
         )
-        shrunk = SynchronousStep(config, parameters)
-        shrunk.rng.bit_generator.state = copy.deepcopy(
-            self.rng.bit_generator.state
-        )
-        shrunk._residuals = [self._residuals[index] for index in keep]
-        shrunk._comm_bytes_base = self.comm_bytes
-        # the round continues across the eviction: survivors keep their
-        # partial accumulations (the dead rank's are dropped with it)
-        # and the local-SGD base stays valid — it was captured when all
-        # replicas were still equal at the top of the round
-        shrunk._round_position = self._round_position
-        shrunk._accumulators = [self._accumulators[index] for index in keep]
-        shrunk._round_base = self._round_base
+        shrunk = SynchronousStep(config, parameters, rank_ids=keep)
+        state = self.state_dict()
+        del state["exchange"]
+        shrunk.load_state_dict(state)
         return shrunk
 
-    def reset(self) -> None:
-        """Drop residuals, aggregator state, and traffic records."""
-        self.exchange.reset()
-        self._residuals = [{} for _ in range(self.world_size)]
-        self._comm_bytes_base = 0
-        self._round_position = 0
-        self._accumulators = [{} for _ in range(self.world_size)]
-        self._round_base = {}
+
+def _copies(arrays: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    return {name: array.copy() for name, array in arrays.items()}

@@ -1,38 +1,43 @@
 """Deterministic checkpoint/resume of full training state.
 
-A :class:`TrainingCheckpoint` captures *everything* a bit-identical
-continuation needs — model parameters, optimizer momentum, the data
-shuffle RNG, every per-rank module RNG stream (dropout masks), the
-shared quantization RNG, per-rank error-feedback residuals, any
-aggregator-side exchange state (the MPI path's broadcast residuals),
-the live topology after evictions, and the partially-completed epoch's
-running metrics.  Resuming a run from a checkpoint taken at step N and
-training to the end produces exactly the trajectory of the
-uninterrupted run, byte for byte, for every scheme × exchange × engine
-cell — the checkpoint test-grid asserts this.
+A :class:`TrainingCheckpoint` is the trainer's whole state tree
+(``ParallelTrainer.state_dict()``, see :mod:`repro.statetree`) plus the
+config it was taken under: *everything* a bit-identical continuation
+needs, because the tree is the one inventory of what a run carries
+from step to step — this module lists none of it.  Resuming a run from
+a checkpoint taken at step N and training to the end produces exactly
+the trajectory of the uninterrupted run, byte for byte, for every
+scheme × exchange × engine cell — the checkpoint test-grid asserts
+this.
 
-Files are single ``.npz`` archives: one JSON metadata blob plus one
-array entry per tensor, written to a temporary file in the target
-directory and atomically renamed into place (``os.replace``), so a
-crash mid-save can never leave a torn checkpoint behind.
+Files are single ``.npz`` archives (format 2): every ndarray leaf of
+the tree is one member named by its ``a/b/c`` path, and ``__meta__``
+is the UTF-8 JSON of ``{"version", "config", "extra", "arrays": [the
+member paths], "state": {path: JSON leaf}}``.  They are written to a
+temporary file in the target directory and atomically renamed into
+place (``os.replace``), so a crash mid-save can never leave a torn
+checkpoint behind; one that is damaged afterwards fails to load with a
+:class:`CheckpointError`.  Format-1 files (written before the state
+tree existed) load through :func:`tree_from_v1`.
 """
 
 from __future__ import annotations
 
-import copy
 import json
 import os
 import re
+import zipfile
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from ..runtime.worker import collect_module_rngs
+from ..statetree import StateError, flatten, unflatten
 from .config import TrainingConfig, identity_fields, knobs
 from .metrics import History
 
 __all__ = [
+    "CheckpointError",
     "CheckpointPolicy",
     "TrainingCheckpoint",
     "checkpoint_steps",
@@ -41,7 +46,11 @@ __all__ = [
 ]
 
 #: checkpoint file-format version
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+
+
+class CheckpointError(ValueError):
+    """A checkpoint file cannot be read, or does not fit the trainer."""
 
 #: config fields that define the numeric trajectory (the knobs declared
 #: ``identity=True``); a checkpoint only restores into a trainer whose
@@ -112,27 +121,33 @@ class CheckpointPolicy:
 
 
 class TrainingCheckpoint:
-    """One captured training state: a metadata dict plus named arrays."""
+    """One captured training state: the state tree and what frames it.
 
-    def __init__(self, meta: dict, arrays: dict[str, np.ndarray]):
+    Attributes:
+        meta: ``{"version", "config", "extra"}`` — the format version,
+            the JSON config record and the policy's opaque ``extra``.
+        tree: the trainer's state tree.
+    """
+
+    def __init__(self, meta: dict, tree: dict):
         self.meta = meta
-        self.arrays = arrays
+        self.tree = tree
 
     # -- convenient accessors ---------------------------------------------
     @property
     def step(self) -> int:
         """Global step index the resumed run continues from."""
-        return int(self.meta["step"])
+        return int(self.tree["step_index"])
 
     @property
     def epoch(self) -> int:
         """Epoch the resumed run continues in (0-based)."""
-        return int(self.meta["epoch"])
+        return int(self.tree["epoch"])
 
     @property
     def batches_done(self) -> int:
         """Batches of that epoch already trained (0 = epoch boundary)."""
-        return int(self.meta["batches_done"])
+        return int(self.tree["batches_done"])
 
     @property
     def config(self) -> TrainingConfig:
@@ -140,134 +155,21 @@ class TrainingCheckpoint:
 
     @property
     def history(self) -> History:
-        return History.from_dict(self.meta["history"])
+        return History.from_dict(self.tree["history"])
 
-    # -- capture ----------------------------------------------------------
+    # -- capture / restore ------------------------------------------------
     @classmethod
     def capture(
-        cls,
-        trainer,
-        *,
-        epoch: int,
-        batches_done: int,
-        shuffle_state: dict,
-        partial_losses: list[float] = (),
-        partial_accuracies: list[float] = (),
-        history: History | None = None,
-        extra: dict | None = None,
+        cls, trainer, extra: dict | None = None
     ) -> "TrainingCheckpoint":
-        """Snapshot a :class:`~repro.core.trainer.ParallelTrainer`.
-
-        ``shuffle_state`` must be the shuffle-RNG state from which the
-        *current* epoch's permutation is (re)drawn: the pre-epoch
-        snapshot when mid-epoch, the current state at an epoch
-        boundary.  The resumed run restores it, re-draws the same
-        permutation, and skips the first ``batches_done`` batches.
-        """
-        engine = trainer.engine
-        step_engine = engine.step_engine
-        reference = engine.reference_worker
-        arrays: dict[str, np.ndarray] = {}
-
-        param_names = [p.name for p in reference.parameters]
-        for i, param in enumerate(reference.parameters):
-            arrays[f"param{i}"] = np.array(param.data, copy=True)
-
-        # mid-round local SGD is the one state where live replicas have
-        # legitimately diverged: capture every rank's parameters (keyed
-        # by live-rank position) so resume rebuilds each replica exactly
-        per_rank_params = (
-            step_engine.local_updates and step_engine.round_position != 0
-        )
-        if per_rank_params:
-            for position, rank in enumerate(engine.live_ranks):
-                for i, param in enumerate(
-                    engine.workers[rank].parameters
-                ):
-                    arrays[f"param{i}r{position}"] = np.array(
-                        param.data, copy=True
-                    )
-
-        velocity = reference.optimizer._velocity
-        velocity_names = sorted(velocity)
-        for i, name in enumerate(velocity_names):
-            arrays[f"vel{i}"] = np.array(velocity[name], copy=True)
-
-        # per-rank error-feedback residuals, keyed by *original* rank id
-        residual_index: list[list] = []
-        for position, rank in enumerate(engine.live_ranks):
-            for name, residual in step_engine._residuals[position].items():
-                arrays[f"res{len(residual_index)}"] = np.array(
-                    residual, copy=True
-                )
-                residual_index.append([rank, name])
-
-        exchange_keys = []
-        for key, array in step_engine.exchange.state_dict().items():
-            arrays[f"exch{len(exchange_keys)}"] = np.array(array, copy=True)
-            exchange_keys.append(key)
-
-        # periodic-synchronization round state: the position inside the
-        # current round plus the per-rank gradient accumulators and the
-        # local-SGD round base, so a mid-round resume replays the rest
-        # of the round bit-identically
-        accumulator_index: list[list] = []
-        for position, rank in enumerate(engine.live_ranks):
-            for name, acc in step_engine._accumulators[position].items():
-                arrays[f"acc{len(accumulator_index)}"] = np.array(
-                    acc, copy=True
-                )
-                accumulator_index.append([rank, name])
-        round_base_names = sorted(step_engine._round_base)
-        for i, name in enumerate(round_base_names):
-            arrays[f"rb{i}"] = np.array(
-                step_engine._round_base[name], copy=True
-            )
-
-        module_rngs = {
-            str(rank): [
-                copy.deepcopy(gen.bit_generator.state)
-                for gen in collect_module_rngs(engine.workers[rank].model)
-            ]
-            for rank in engine.live_ranks
-        }
-
+        """Snapshot a :class:`~repro.core.trainer.ParallelTrainer`."""
         meta = {
             "version": FORMAT_VERSION,
-            "step": int(engine._step_index),
-            "epoch": int(epoch),
-            "batches_done": int(batches_done),
             "config": config_to_dict(trainer.config),
-            "history": (history or History(trainer.config.label)).to_dict(),
-            "live_ranks": list(engine.live_ranks),
-            "shuffle_state": copy.deepcopy(shuffle_state),
-            "quant_state": copy.deepcopy(
-                step_engine.rng.bit_generator.state
-            ),
-            "module_rngs": module_rngs,
-            "partial_losses": [float(v) for v in partial_losses],
-            "partial_accuracies": [float(v) for v in partial_accuracies],
-            "partial_comm_bytes": int(step_engine.comm_bytes),
-            "param_names": param_names,
-            "velocity_names": velocity_names,
-            "residuals": residual_index,
-            "exchange_keys": exchange_keys,
-            "round_position": int(step_engine.round_position),
-            "accumulators": accumulator_index,
-            "round_base_names": round_base_names,
-            "per_rank_params": bool(per_rank_params),
-            # the adaptive policy's frozen per-layer scheme table; the
-            # resume path restores it verbatim instead of trusting a
-            # re-derivation, so the carried decisions — not the
-            # derivation code — define the resumed trajectory
-            "policy_assignments": dict(
-                getattr(step_engine.policy, "assignments", None) or {}
-            ),
             "extra": dict(extra) if extra else {},
         }
-        return cls(meta, arrays)
+        return cls(meta, trainer.state_dict())
 
-    # -- restore ----------------------------------------------------------
     def restore(self, trainer) -> None:
         """Load this checkpoint's state into a freshly-built trainer.
 
@@ -292,103 +194,36 @@ class TrainingCheckpoint:
                 "checkpoint was taken under a different config; "
                 f"mismatched fields: {', '.join(mismatches)}"
             )
-
-        engine = trainer.engine
-        engine.restore_topology([int(r) for r in self.meta["live_ranks"]])
-        step_engine = engine.step_engine
-
-        param_names = self.meta["param_names"]
-        velocity_names = self.meta["velocity_names"]
-        per_rank_params = bool(self.meta.get("per_rank_params"))
-        for position, rank in enumerate(engine.live_ranks):
-            worker = engine.workers[rank]
-            for i, name in enumerate(param_names):
-                param = worker.param_by_name[name]
-                key = (
-                    f"param{i}r{position}" if per_rank_params
-                    else f"param{i}"
-                )
-                saved = self.arrays[key]
-                if param.data.shape != saved.shape:
-                    raise ValueError(
-                        f"parameter {name!r} shape {param.data.shape} != "
-                        f"checkpointed {saved.shape}"
-                    )
-                param.data[...] = saved
-            worker.optimizer._velocity = {
-                name: np.array(self.arrays[f"vel{i}"], copy=True)
-                for i, name in enumerate(velocity_names)
-            }
-            generators = collect_module_rngs(worker.model)
-            states = self.meta["module_rngs"][str(rank)]
-            if len(generators) != len(states):
-                raise ValueError(
-                    f"rank {rank} has {len(generators)} module RNGs, "
-                    f"checkpoint recorded {len(states)}"
-                )
-            for gen, state in zip(generators, states):
-                gen.bit_generator.state = copy.deepcopy(state)
-
-        step_engine.rng.bit_generator.state = copy.deepcopy(
-            self.meta["quant_state"]
-        )
-        carried = self.meta.get("policy_assignments")
-        if carried and hasattr(step_engine.policy, "assignments"):
-            # checkpoint-carried bit-width decisions override the fresh
-            # derivation (they should agree — the derivation is a pure
-            # function of the identity fields — but the saved table is
-            # authoritative for the resumed trajectory)
-            step_engine.policy.assignments = {
-                str(name): str(scheme)
-                for name, scheme in carried.items()
-            }
-        position_of = {
-            rank: position for position, rank in enumerate(engine.live_ranks)
-        }
-        residuals: list[dict[str, np.ndarray]] = [
-            {} for _ in engine.live_ranks
-        ]
-        for i, (rank, name) in enumerate(self.meta["residuals"]):
-            residuals[position_of[int(rank)]][name] = np.array(
-                self.arrays[f"res{i}"], copy=True
-            )
-        step_engine._residuals = residuals
-        step_engine._round_position = int(self.meta.get("round_position", 0))
-        accumulators: list[dict[str, np.ndarray]] = [
-            {} for _ in engine.live_ranks
-        ]
-        for i, (rank, name) in enumerate(self.meta.get("accumulators", [])):
-            accumulators[position_of[int(rank)]][name] = np.array(
-                self.arrays[f"acc{i}"], copy=True
-            )
-        step_engine._accumulators = accumulators
-        step_engine._round_base = {
-            name: np.array(self.arrays[f"rb{i}"], copy=True)
-            for i, name in enumerate(self.meta.get("round_base_names", []))
-        }
-        step_engine.exchange.load_state_dict(
-            {
-                key: np.array(self.arrays[f"exch{i}"], copy=True)
-                for i, key in enumerate(self.meta["exchange_keys"])
-            }
-        )
-        engine._step_index = self.step
-        # let the engine resync any state held outside the coordinator
-        # (the process engine respawns its workers from the replicas)
-        engine.on_state_restored()
+        try:
+            trainer.load_state_dict(self.tree)
+        except StateError as exc:
+            raise CheckpointError(
+                f"checkpoint does not fit this trainer: {exc}"
+            ) from exc
 
     # -- disk -------------------------------------------------------------
     def save(self, path: str | os.PathLike) -> Path:
         """Write atomically: temp file in the target dir, then rename."""
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
+        flat = flatten(self.tree)
+        arrays = {
+            key: leaf for key, leaf in flat.items()
+            if isinstance(leaf, np.ndarray)
+        }
+        meta = {
+            **self.meta,
+            "arrays": sorted(arrays),
+            "state": {k: v for k, v in flat.items() if k not in arrays},
+        }
+        blob = json.dumps(meta, separators=(",", ":")).encode()
         tmp = path.parent / f".{path.name}.tmp{os.getpid()}"
         try:
             with open(tmp, "wb") as handle:
                 np.savez(
                     handle,
-                    __meta__=np.array(json.dumps(self.meta)),
-                    **self.arrays,
+                    __meta__=np.frombuffer(blob, dtype=np.uint8),
+                    **arrays,
                 )
             os.replace(tmp, path)
         finally:
@@ -398,17 +233,100 @@ class TrainingCheckpoint:
 
     @classmethod
     def load(cls, path: str | os.PathLike) -> "TrainingCheckpoint":
-        with np.load(Path(path), allow_pickle=False) as archive:
-            meta = json.loads(str(archive["__meta__"][()]))
-            if meta.get("version") != FORMAT_VERSION:
-                raise ValueError(
-                    f"unsupported checkpoint version {meta.get('version')}"
-                    f" (expected {FORMAT_VERSION})"
-                )
-            arrays = {
-                key: archive[key] for key in archive.files if key != "__meta__"
+        """Read a checkpoint; an unreadable one is a :class:`CheckpointError`."""
+        try:
+            with np.load(Path(path), allow_pickle=False) as archive:
+                arrays = {key: archive[key] for key in archive.files}
+            raw = arrays.pop("__meta__")
+            # format 1 stored the JSON as a numpy unicode scalar
+            text = str(raw[()]) if raw.dtype.kind == "U" else raw.tobytes()
+            meta = json.loads(text)
+            version = meta["version"]
+            frame = {
+                "version": FORMAT_VERSION,
+                "config": meta["config"],
+                "extra": meta["extra"],
             }
-        return cls(meta, arrays)
+        except (OSError, EOFError, KeyError, TypeError, ValueError,
+                zipfile.BadZipFile) as exc:
+            raise CheckpointError(
+                f"{path}: not a readable checkpoint ({exc!r})"
+            ) from exc
+        if version == 1:
+            return cls(frame, tree_from_v1(meta, arrays))
+        if version != FORMAT_VERSION:
+            raise CheckpointError(
+                f"{path}: unsupported checkpoint version {version} "
+                f"(expected {FORMAT_VERSION})"
+            )
+        missing = sorted(set(meta["arrays"]) - set(arrays))
+        if missing:
+            raise CheckpointError(
+                f"{path}: archive lacks {missing[0]!r}, which its "
+                "metadata lists"
+            )
+        return cls(frame, unflatten({**meta["state"], **arrays}))
+
+
+def tree_from_v1(meta: dict, arrays: dict[str, np.ndarray]) -> dict:
+    """The state tree a format-1 checkpoint describes (pure function).
+
+    Format 1 kept seven index-keyed array families (``param{i}``,
+    ``param{i}r{position}``, ``vel{i}``, ``res{i}``, ``exch{i}``,
+    ``acc{i}``, ``rb{i}``) and seven metadata lists mapping them back to
+    names and ranks; this is the one place that still knows them.  A
+    format-1 file has no module buffers, so a batch-normalised model
+    resumed from one starts from fresh running statistics — the wrong
+    continuation format 1 always gave such models.  Delete this
+    function (and the version-1 branch of ``load``) once no format-1
+    checkpoint is left to resume: the files are written per run and
+    pruned to ``keep``, so that is one release after this one.
+    """
+    live = [str(int(rank)) for rank in meta["live_ranks"]]
+    names = meta["param_names"]
+
+    def family(prefix: str, keys: list, suffix: str = "") -> dict:
+        return {
+            key: arrays[f"{prefix}{i}{suffix}"] for i, key in enumerate(keys)
+        }
+
+    per_rank: dict = {
+        rank: {"residuals": {}, "accumulators": {}} for rank in live
+    }
+    for kind, prefix in (("residuals", "res"), ("accumulators", "acc")):
+        for i, (rank, name) in enumerate(meta.get(kind, [])):
+            per_rank[str(rank)][kind][name] = arrays[f"{prefix}{i}"]
+    exchange: dict = {}
+    for key, residual in family("exch", meta["exchange_keys"]).items():
+        owner, _, stream = key.partition("|")
+        exchange.setdefault(owner, {})[stream] = residual
+    tree = {
+        "step_index": meta["step"],
+        "live_ranks": [int(rank) for rank in live],
+        "params": family("param", names),
+        "velocity": family("vel", meta["velocity_names"]),
+        "step": {
+            "rng": meta["quant_state"],
+            "exchange": exchange,
+            "round_position": meta.get("round_position", 0),
+            "round_base": family("rb", meta.get("round_base_names", [])),
+            "policy_assignments": meta.get("policy_assignments") or {},
+            "comm_bytes": meta["partial_comm_bytes"],
+            "ranks": per_rank,
+        },
+        "ranks": {rank: {"rngs": meta["module_rngs"][rank]} for rank in live},
+    }
+    for key in ("epoch", "batches_done", "shuffle_state", "partial_losses",
+                "partial_accuracies", "history"):
+        tree[key] = meta[key]
+    if meta.get("per_rank_params"):
+        # mid-round local SGD: each live rank's own diverged replica
+        del tree["params"]
+        for position, rank in enumerate(live):
+            tree["ranks"][rank]["params"] = family(
+                "param", names, f"r{position}"
+            )
+    return tree
 
 
 def checkpoint_steps(
@@ -444,28 +362,9 @@ def latest_checkpoint(directory: str | os.PathLike) -> Path | None:
     return found[-1][1] if found else None
 
 
-def save_checkpoint(
-    trainer,
-    policy: CheckpointPolicy,
-    *,
-    epoch: int,
-    batches_done: int,
-    shuffle_state: dict,
-    partial_losses: list[float] = (),
-    partial_accuracies: list[float] = (),
-    history: History | None = None,
-) -> Path:
+def save_checkpoint(trainer, policy: CheckpointPolicy) -> Path:
     """Capture, write ``ckpt-<step>.npz`` under the policy dir, prune."""
-    ckpt = TrainingCheckpoint.capture(
-        trainer,
-        epoch=epoch,
-        batches_done=batches_done,
-        shuffle_state=shuffle_state,
-        partial_losses=partial_losses,
-        partial_accuracies=partial_accuracies,
-        history=history,
-        extra=policy.extra,
-    )
+    ckpt = TrainingCheckpoint.capture(trainer, extra=policy.extra)
     directory = Path(policy.directory)
     path = ckpt.save(directory / f"ckpt-{ckpt.step:08d}.npz")
     if policy.keep is not None:

@@ -34,7 +34,7 @@ from .metrics import PHASE_NAMES, EpochMetrics, History
 __all__ = ["ParallelTrainer", "TrainingInterrupted"]
 
 LossFn = Callable[[np.ndarray, np.ndarray], tuple[float, np.ndarray]]
-StepHook = Callable[[int, list[float], list[float]], None]
+StepHook = Callable[[], None]
 EpochHook = Callable[["EpochMetrics", "History"], None]
 
 
@@ -68,6 +68,7 @@ class ParallelTrainer:
         # training progress, as they did with the single-model loop
         self.parameters = self.engine.workers[0].parameters
         self._shuffle_rng = np.random.default_rng(config.seed + 1)
+        self._begin_run()
 
     # the live collective/quantization pipeline; reassignable so
     # custom codecs can be injected (see examples/custom_quantizer.py)
@@ -95,13 +96,33 @@ class ParallelTrainer:
         return self.engine.train_step(x, y)
 
     # -- epochs -----------------------------------------------------------
+    def _begin_run(self) -> None:
+        """A fresh run record, the data cursor at the top of epoch 0.
+
+        Where fit() is lives on the trainer, not in fit()'s locals, so
+        that :meth:`state_dict` can capture it at any step.
+        """
+        self._history = History(label=self.config.label)
+        self._prior_topology: list = []
+        self._epoch = 0
+        self._begin_epoch()
+
+    def _begin_epoch(self) -> None:
+        """Put the data cursor at the top of epoch ``self._epoch``."""
+        self._batches_done = 0
+        # the state the epoch's permutation is drawn from — what a
+        # mid-epoch checkpoint must record to re-draw it
+        self._epoch_shuffle_state = copy.deepcopy(
+            self._shuffle_rng.bit_generator.state
+        )
+        self._losses: list[float] = []
+        self._accuracies: list[float] = []
+
     def train_epoch(
         self,
         x: np.ndarray,
         y: np.ndarray,
         start_batch: int = 0,
-        losses: list[float] | None = None,
-        accuracies: list[float] | None = None,
         on_step: StepHook | None = None,
         should_stop: Callable[[], bool] | None = None,
     ) -> tuple[float, float]:
@@ -109,19 +130,18 @@ class ParallelTrainer:
 
         ``start_batch`` skips that many leading batches of the epoch's
         permutation (a mid-epoch resume: the shuffle RNG re-draws the
-        same permutation, and the already-trained batches are passed
-        over).  ``losses`` / ``accuracies`` seed the running per-batch
-        metric lists (the skipped batches' metrics from the
-        checkpoint), and ``on_step`` is called after every trained
-        batch with ``(batches_done, losses, accuracies)`` — the
-        checkpoint hook.  ``should_stop`` is polled between steps;
-        when it returns true the epoch raises
+        same permutation, the already-trained batches are passed over
+        and their metrics, loaded with the state tree, seed the running
+        per-batch lists).  ``on_step`` is called after every trained
+        batch — the checkpoint hook.  ``should_stop`` is polled between
+        steps; when it returns true the epoch raises
         :class:`TrainingInterrupted` at the next step boundary (after
         the checkpoint hook, so a stopped run is resumable from its
         last completed step).
         """
-        losses = [] if losses is None else losses
-        accuracies = [] if accuracies is None else accuracies
+        if start_batch == 0:
+            self._begin_epoch()
+        losses, accuracies = self._losses, self._accuracies
         batch_index = 0
         for batch_x, batch_y in iterate_minibatches(
             x, y, self.config.batch_size, rng=self._shuffle_rng
@@ -136,8 +156,9 @@ class ParallelTrainer:
             loss, acc = self.train_step(batch_x, batch_y)
             losses.append(loss)
             accuracies.append(acc)
+            self._batches_done = batch_index
             if on_step is not None:
-                on_step(batch_index, losses, accuracies)
+                on_step()
         if not losses:
             return float("nan"), float("nan")
         return float(np.mean(losses)), float(np.mean(accuracies))
@@ -195,63 +216,29 @@ class ParallelTrainer:
         the caller after the current step (and its checkpoint hook)
         completes, so the stopped run stays resumable.
         """
-        history = History(
-            label=self.config.label,
-            kernel_backend=kernels.backend_name(),
-        )
-        start_epoch = 0
-        skip_batches = 0
-        carry_losses: list[float] = []
-        carry_accuracies: list[float] = []
-        carry_comm_bytes = 0
-        prior_topology = []
         if resume_from is not None:
             if not isinstance(resume_from, TrainingCheckpoint):
                 resume_from = TrainingCheckpoint.load(resume_from)
             resume_from.restore(self)
-            prior = resume_from.history
-            history.epochs.extend(prior.epochs)
-            history.failures.extend(prior.failures)
-            prior_topology = list(prior.topology_changes)
-            start_epoch = resume_from.epoch
-            skip_batches = resume_from.batches_done
-            carry_losses = list(resume_from.meta["partial_losses"])
-            carry_accuracies = list(resume_from.meta["partial_accuracies"])
-            carry_comm_bytes = int(resume_from.meta["partial_comm_bytes"])
-            self._shuffle_rng.bit_generator.state = copy.deepcopy(
-                resume_from.meta["shuffle_state"]
-            )
-
-        def sync_topology() -> None:
-            history.topology_changes = (
-                prior_topology + self.engine.topology_events
-            )
+        else:
+            self._begin_run()
+        history = self._history
+        history.kernel_backend = kernels.backend_name()
+        # a mid-epoch resume re-enters its epoch ``start_batch`` batches
+        # in, with that epoch's traffic and partial metrics loaded
+        start_batch = self._batches_done
 
         tracer = self.engine.tracer
-        for epoch in range(start_epoch, epochs):
+        for epoch in range(self._epoch, epochs):
+            self._epoch = epoch
             self.engine.set_lr(
                 exponential_decay(self.config.lr, self.config.lr_decay, epoch)
             )
-            self.step_engine.reset_traffic()
-            # the state the current epoch's permutation is drawn from —
-            # what a mid-epoch checkpoint must record to re-draw it
-            epoch_shuffle_state = copy.deepcopy(
-                self._shuffle_rng.bit_generator.state
-            )
-            start_batch = 0
-            losses: list[float] = []
-            accuracies: list[float] = []
-            if epoch == start_epoch and skip_batches:
-                start_batch = skip_batches
-                losses = carry_losses
-                accuracies = carry_accuracies
-                self.step_engine.set_comm_bytes_base(carry_comm_bytes)
+            if start_batch == 0:
+                self.step_engine.reset_traffic()
             on_step: StepHook | None = None
             if checkpoint is not None and checkpoint.every_steps:
-                on_step = self._step_checkpointer(
-                    checkpoint, epoch, epoch_shuffle_state, history,
-                    sync_topology,
-                )
+                on_step = self._step_checkpointer(checkpoint)
             # per-epoch phase deltas: snapshot the tracer's cumulative
             # busy seconds so each epoch records only its own share
             phase_before = tracer.phase_seconds() if tracer.enabled else None
@@ -261,19 +248,17 @@ class ParallelTrainer:
                     train_x,
                     train_y,
                     start_batch=start_batch,
-                    losses=losses,
-                    accuracies=accuracies,
                     on_step=on_step,
                     should_stop=should_stop,
                 )
             except WorkerFailureError as failure:
-                sync_topology()
+                self._sync_topology()
                 history.failures.append(failure.failure)
                 if verbose:
                     print(f"[{self.config.label}] stopped: {failure}")
                 break
             except TrainingInterrupted:
-                sync_topology()
+                self._sync_topology()
                 raise
             elapsed = time.perf_counter() - start
             if phase_before is not None:
@@ -299,22 +284,16 @@ class ParallelTrainer:
                 },
             )
             history.append(metrics)
-            sync_topology()
+            self._sync_topology()
+            # the cursor moves to the boundary: next epoch, zero batches
+            # in, the shuffle RNG exactly where the next draw happens
+            start_batch = 0
+            self._epoch = epoch + 1
+            self._begin_epoch()
             if checkpoint is not None and checkpoint.every_epochs and (
                 (epoch + 1) % checkpoint.every_epochs == 0
             ):
-                # boundary checkpoint: next epoch, zero batches in, and
-                # the shuffle RNG exactly where the next draw happens
-                save_checkpoint(
-                    self,
-                    checkpoint,
-                    epoch=epoch + 1,
-                    batches_done=0,
-                    shuffle_state=copy.deepcopy(
-                        self._shuffle_rng.bit_generator.state
-                    ),
-                    history=history,
-                )
+                save_checkpoint(self, checkpoint)
             if on_epoch is not None:
                 on_epoch(metrics, history)
             if verbose:
@@ -323,39 +302,58 @@ class ParallelTrainer:
                     f"loss={loss:.4f} train={train_acc:.3f} "
                     f"test={test_acc:.3f}"
                 )
-        sync_topology()
+        self._sync_topology()
         return history
 
-    def _step_checkpointer(
-        self,
-        policy: CheckpointPolicy,
-        epoch: int,
-        epoch_shuffle_state: dict,
-        history: History,
-        sync_topology: Callable[[], None],
-    ) -> StepHook:
+    def _sync_topology(self) -> None:
+        """Fold the engine's eviction log into the run's history."""
+        self._history.topology_changes = (
+            self._prior_topology + self.engine.topology_events
+        )
+
+    def _step_checkpointer(self, policy: CheckpointPolicy) -> StepHook:
         """Per-batch hook saving every ``policy.every_steps`` steps."""
 
-        def on_step(
-            batches_done: int,
-            losses: list[float],
-            accuracies: list[float],
-        ) -> None:
-            if self.engine._step_index % policy.every_steps != 0:
-                return
-            sync_topology()
-            save_checkpoint(
-                self,
-                policy,
-                epoch=epoch,
-                batches_done=batches_done,
-                shuffle_state=epoch_shuffle_state,
-                partial_losses=losses,
-                partial_accuracies=accuracies,
-                history=history,
-            )
+        def on_step() -> None:
+            if self.engine._step_index % policy.every_steps == 0:
+                save_checkpoint(self, policy)
 
         return on_step
+
+    # -- state tree -------------------------------------------------------
+    def state_dict(self) -> dict:
+        """The whole run as one tree: the engine's, plus where fit() is.
+
+        ``shuffle_state`` is the shuffle-RNG state from which the
+        *current* epoch's permutation is (re)drawn: the pre-epoch
+        snapshot when mid-epoch, the current state at an epoch
+        boundary.  A resumed run restores it, re-draws the same
+        permutation, and skips the first ``batches_done`` batches.
+        """
+        self._sync_topology()
+        return {
+            **self.engine.state_dict(),
+            "epoch": self._epoch,
+            "batches_done": self._batches_done,
+            "shuffle_state": copy.deepcopy(self._epoch_shuffle_state),
+            "partial_losses": [float(v) for v in self._losses],
+            "partial_accuracies": [float(v) for v in self._accuracies],
+            "history": self._history.to_dict(),
+        }
+
+    def load_state_dict(self, state: dict) -> None:
+        """Continue from :meth:`state_dict` output (a checkpoint's tree)."""
+        self.engine.load_state_dict(state)
+        self._history = History.from_dict(state["history"])
+        self._prior_topology = list(self._history.topology_changes)
+        self._epoch = int(state["epoch"])
+        self._shuffle_rng.bit_generator.state = copy.deepcopy(
+            state["shuffle_state"]
+        )
+        self._begin_epoch()
+        self._batches_done = int(state["batches_done"])
+        self._losses = list(state["partial_losses"])
+        self._accuracies = list(state["partial_accuracies"])
 
     def close(self) -> None:
         """Shut down the execution engine (worker threads, if any)."""

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..nn.module import Parameter
+from ..statetree import load_arrays
 
 __all__ = ["Sgd"]
 
@@ -51,6 +52,10 @@ class Sgd:
             grad = velocity
         param.data -= self.lr * grad
 
-    def reset(self) -> None:
-        """Drop momentum state."""
-        self._velocity.clear()
+    def state_dict(self) -> dict:
+        """Copies of the momentum buffers, by parameter name."""
+        return {name: v.copy() for name, v in self._velocity.items()}
+
+    def load_state_dict(self, state: dict) -> None:
+        """Adopt :meth:`state_dict` output by value (never by alias)."""
+        load_arrays(self._velocity, state)

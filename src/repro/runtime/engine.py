@@ -56,7 +56,6 @@ collapses to the historical fail-fast behaviour, byte for byte.
 from __future__ import annotations
 
 import abc
-import copy
 import queue
 import threading
 import time
@@ -78,19 +77,14 @@ from .faults import (
 )
 from .link import BucketUploads, LinkClock, sleep_until
 from .resilience import AttemptFailure, RetryPolicy, TopologyChange
-from .worker import (
-    LossFn,
-    RankWorker,
-    clone_module,
-    collect_module_rngs,
-    reseed_module_rngs,
-)
+from .worker import LossFn, RankWorker, clone_module, reseed_module_rngs
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a cycle
     from ..core.config import TrainingConfig
 
 __all__ = [
     "ENGINE_NAMES",
+    "STEP_MUTABLE",
     "ExecutionEngine",
     "SequentialEngine",
     "ThreadedEngine",
@@ -98,6 +92,14 @@ __all__ = [
 ]
 
 ENGINE_NAMES = ("sequential", "threaded", "process")
+
+#: the state-tree paths a step attempt can change before it commits:
+#: the collective's own state (quantization RNG draws, residuals,
+#: exchange state, accumulators) and each rank's forward-pass state
+#: (module RNG streams, batchnorm running statistics).  Everything else
+#: — parameters, momentum, the step index — only moves at commit.  A
+#: failed attempt is rolled back by reloading a copy of exactly these.
+STEP_MUTABLE = ("step/", "ranks/")
 
 
 class ExecutionEngine(abc.ABC):
@@ -372,7 +374,7 @@ class ExecutionEngine(abc.ABC):
             # micro-step of a round moves any replica (idempotent on
             # retries — a rewound attempt re-captures identical values)
             self.step_engine.begin_round(self.reference_worker.parameters)
-            snapshot = self._snapshot_step_state() if resilient else None
+            snapshot = self.state_dict(STEP_MUTABLE) if resilient else None
             try:
                 metrics = self._attempt_step(step, x, y)
             except AttemptFailure as attempt:
@@ -395,7 +397,7 @@ class ExecutionEngine(abc.ABC):
                 # drain/cleanup first (threaded workers may still be
                 # inside the aborted attempt), then rewind
                 self._recover_attempt(attempt)
-                self._restore_step_state(snapshot)
+                self.load_state_dict(snapshot)
                 if attempt.retryable and attempts < self.retry_policy.max_retries:
                     delay = self._retry_state.backoff_delay(attempts)
                     attempts += 1
@@ -422,45 +424,6 @@ class ExecutionEngine(abc.ABC):
     ) -> tuple[float, float]:
         """One attempt of one step; raises :class:`AttemptFailure`."""
 
-    def _snapshot_step_state(self) -> dict:
-        """Capture everything a failed attempt could have consumed.
-
-        Beyond the collective's own state (shared quantization RNG,
-        error-feedback residuals, exchange-side state — covered by
-        ``SynchronousStep.snapshot``), a partially-run attempt also
-        advances the per-rank *module* RNG streams: every rank that got
-        as far as its forward pass drew dropout masks.  Which ranks got
-        that far differs between the engines (the sequential loop stops
-        at the crashing rank; threaded ranks run concurrently), so a
-        retry that did not rewind these streams would break engine
-        parity and bit-identity with the uninterrupted run.
-        """
-        return {
-            "engine": self.step_engine.snapshot(),
-            "module_rngs": {
-                rank: [
-                    copy.deepcopy(gen.bit_generator.state)
-                    for gen in collect_module_rngs(self.workers[rank].model)
-                ]
-                for rank in self.live_ranks
-            },
-        }
-
-    def _restore_step_state(self, snapshot: dict) -> None:
-        """Rewind the collective and per-rank RNG streams to ``snapshot``.
-
-        Only valid for uncommitted attempts — once any rank applied the
-        step, its RNG draws are part of the committed trajectory.
-        """
-        self.step_engine.restore_snapshot(snapshot["engine"])
-        for rank, states in snapshot["module_rngs"].items():
-            if rank not in self.live_ranks:
-                continue
-            for gen, state in zip(
-                collect_module_rngs(self.workers[rank].model), states
-            ):
-                gen.bit_generator.state = copy.deepcopy(state)
-
     def _recover_attempt(self, attempt: AttemptFailure) -> None:
         """Engine-specific cleanup between attempts (threads, barriers)."""
 
@@ -481,14 +444,9 @@ class ExecutionEngine(abc.ABC):
         """Remove ``rank`` from the live topology and shrink the step."""
         if rank not in self.live_ranks:
             raise ValueError(f"rank {rank} is not live")
-        keep = [
-            index
-            for index, live in enumerate(self.live_ranks)
-            if live != rank
-        ]
         self.live_ranks = [r for r in self.live_ranks if r != rank]
         self.step_engine = self.step_engine.shrink(
-            keep, self.workers[0].parameters
+            self.live_ranks, self.workers[0].parameters
         )
         worker = self.workers[rank]
         worker.error = None
@@ -512,6 +470,62 @@ class ExecutionEngine(abc.ABC):
         sink = self.tracer.counter_sink
         if sink is not None:
             sink.count_eviction(failure.rank)
+
+    # -- state tree -------------------------------------------------------
+    def state_dict(self, prefixes: tuple[str, ...] = ("",)) -> dict:
+        """The run's numeric state as one tree (see :mod:`repro.statetree`).
+
+        ``step_index`` and ``live_ranks``; ``params`` and ``velocity``
+        once, from the reference replica (live replicas are equal —
+        except mid-round under local SGD, when each rank's parameters
+        go under its own ``ranks/<id>/params`` instead); ``step``, the
+        collective's state; ``ranks/<rank id>``, what only that rank
+        holds.  ``prefixes`` limits the copy to the top-level subtrees
+        under them: the retry loop passes :data:`STEP_MUTABLE`.
+        """
+        step = self.step_engine
+        reference = self.reference_worker
+        diverged = step.local_updates and step.round_position != 0
+        per_rank = RankWorker.RANK_STATE + (("params",) if diverged else ())
+        build = {
+            "step_index": lambda: self._step_index,
+            "live_ranks": lambda: list(self.live_ranks),
+            "params": lambda: reference.state_dict(("params",))["params"],
+            "velocity": reference.optimizer.state_dict,
+            "step": step.state_dict,
+            "ranks": lambda: {
+                str(rank): self.workers[rank].state_dict(per_rank)
+                for rank in self.live_ranks
+            },
+        }
+        if diverged:
+            del build["params"]
+        return {
+            key: make()
+            for key, make in build.items()
+            if f"{key}/".startswith(prefixes)
+        }
+
+    def load_state_dict(self, state: dict) -> None:
+        """Load whichever subtrees of :meth:`state_dict` ``state`` carries."""
+        if "live_ranks" in state:
+            self.restore_topology(state["live_ranks"])
+        if "step_index" in state:
+            self._step_index = int(state["step_index"])
+        if "step" in state:
+            self.step_engine.load_state_dict(state["step"])
+        shared = {
+            key: state[key] for key in RankWorker.SHARED_STATE if key in state
+        }
+        for rank in self.live_ranks:
+            self.workers[rank].load_state_dict(
+                {**shared, **state.get("ranks", {}).get(str(rank), {})}
+            )
+        if not all(f"{key}/".startswith(STEP_MUTABLE) for key in state):
+            # committed state was replaced: let the engine resync what
+            # it holds outside the coordinator (rolling back a failed
+            # attempt is each engine's own abort path instead)
+            self.on_state_restored()
 
     def restore_topology(self, live_ranks: list[int]) -> None:
         """Re-apply recorded evictions (checkpoint resume).
@@ -888,8 +902,8 @@ class ThreadedEngine(ExecutionEngine):
 
     def _recover_attempt(self, attempt: AttemptFailure) -> None:
         # drain first: workers still inside the aborted attempt may be
-        # consuming their module RNG streams, and the rewind in
-        # ``_restore_step_state`` must not race them.  Committed steps
+        # consuming their module RNG streams, and the rollback in
+        # ``_run_step_with_recovery`` must not race them.  Committed steps
         # are never rewound (and the missing rank may be stuck
         # arbitrarily long), so no drain there.
         ctx = self._active_ctx

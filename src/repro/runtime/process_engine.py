@@ -29,10 +29,11 @@ the workers would need per-rank quantization RNG streams, which is a
 different (non-bit-identical) trajectory by construction.
 
 The coordinator keeps its local "shadow" workers: after every
-committed step it installs the reported per-rank RNG states and
-applies the same aggregated update to them, so evaluation,
-checkpointing, retry snapshots, and respawns all read ordinary local
-state.  A killed worker surfaces as a retryable
+committed step it loads the rank subtree each worker reported with its
+gradients (``RankWorker.RANK_STATE``: module RNG streams, batchnorm
+running statistics) and applies the same aggregated update to them,
+so evaluation, checkpointing, retry rollbacks, and respawns all read
+ordinary local state.  A killed worker surfaces as a retryable
 :class:`~repro.runtime.resilience.AttemptFailure`; the retry respawns
 the rank from its shadow (parameters, momentum, RNG streams — all
 pre-step, since shadows only advance on success) and replays the step.
@@ -58,7 +59,6 @@ losses are).
 from __future__ import annotations
 
 import contextlib
-import copy
 import multiprocessing
 import os
 import signal
@@ -75,13 +75,7 @@ from .faults import FaultPlan, InjectedCrash, WorkerFailure, WorkerFailureError
 from .link import BucketUploads, LinkClock
 from .resilience import AttemptFailure
 from .shm import GradientArena, arena_slots
-from .worker import (
-    LossFn,
-    RankWorker,
-    collect_module_rngs,
-    install_module_buffers,
-    read_module_buffers,
-)
+from .worker import LossFn, RankWorker
 
 __all__ = ["ProcessEngine", "ProcessStepBarrier"]
 
@@ -179,12 +173,6 @@ def _drain_telemetry(tracer) -> tuple[tuple, float]:  # pragma: no cover
     return spans, stall
 
 
-def _rollback_rngs(generators, states) -> None:  # pragma: no cover
-    """Rewind this worker's module RNG streams to their pre-step state."""
-    for gen, state in zip(generators, states):
-        gen.bit_generator.state = copy.deepcopy(state)
-
-
 def _child_main(
     rank: int,
     conn: mp_connection.Connection,
@@ -228,10 +216,7 @@ def _serve(
         weight_decay=config.weight_decay,
         label=config.label,
     )
-    worker.optimizer._velocity = {
-        name: np.array(value, copy=True)
-        for name, value in velocity.items()
-    }
+    worker.optimizer.load_state_dict(velocity)
     # kills are handled right here as real SIGKILLs, so the plan's
     # in-process degradation must not fire (in particular not on a
     # respawned worker replaying the step its predecessor died in)
@@ -247,7 +232,6 @@ def _serve(
         else gbps_to_bytes_per_second(config.link_gbps)
     )
     tracer = Tracer() if trace_enabled else NULL_TRACER
-    generators = collect_module_rngs(worker.model)
     while True:
         msg = conn.recv()
         cmd = msg[0]
@@ -266,9 +250,10 @@ def _serve(
         if msg[5] and link_rate is not None:
             link = LinkClock(link_rate, tracer, rank)
             uploads = BucketUploads(link, bucket_of_name, bucket_nbytes)
-        pre_step = [
-            copy.deepcopy(gen.bit_generator.state) for gen in generators
-        ]
+        # what this rank's forward pass moves; an attempt that does not
+        # commit reloads it, exactly as the coordinator rolls back its
+        # own STEP_MUTABLE subtree
+        pre_step = worker.state_dict(RankWorker.RANK_STATE)
         try:
             if (rank, step) in kill_points:
                 # a hard kill, not an exception: the process vanishes
@@ -280,12 +265,12 @@ def _serve(
                     shard_x, shard_y, on_ready=uploads, grad_scale=scale
                 )
         except InjectedCrash as exc:
-            _rollback_rngs(generators, pre_step)
+            worker.load_state_dict(pre_step)
             spans, stall = _drain_telemetry(tracer)
             conn.send(("fail", "crash", str(exc), spans, stall))
             continue
         except BaseException as exc:  # noqa: BLE001 - shipped to parent
-            _rollback_rngs(generators, pre_step)
+            worker.load_state_dict(pre_step)
             conn.send(("error", exc))
             continue
         for param in worker.parameters:
@@ -294,9 +279,6 @@ def _serve(
             # every bucket was queued on the link as backward produced
             # it; only the wire time backward did not cover is left
             link.drain()
-        states = [
-            copy.deepcopy(gen.bit_generator.state) for gen in generators
-        ]
         spans, stall = _drain_telemetry(tracer)
         conn.send(
             (
@@ -304,20 +286,20 @@ def _serve(
                 worker.loss,
                 worker.accuracy,
                 worker.samples,
-                states,
+                # the rank subtree the forward moved: the shadow replica
+                # loads it at commit, or coordinator-side evaluation and
+                # checkpoints drift.  Never parameters — those reach the
+                # shadow as the same aggregated update
+                worker.state_dict(RankWorker.RANK_STATE),
                 spans,
                 stall,
-                # non-parameter state the forward mutated (batchnorm
-                # running stats): the shadow replica must mirror it or
-                # coordinator-side evaluation/checkpoints drift
-                read_module_buffers(worker.model),
             )
         )
         verdict = conn.recv()
         kind = verdict[0]
         if kind not in ("apply", "skip", "local", "install"):
             # "abort": the coordinator tore the attempt down
-            _rollback_rngs(generators, pre_step)
+            worker.load_state_dict(pre_step)
             continue
         if kind == "apply":
             # classic path: install the aggregated gradient mean
@@ -431,10 +413,7 @@ class ProcessEngine(ExecutionEngine):
                 self._arena.slots,
                 self.world_size,
                 shadow.model,
-                {
-                    name: np.array(value, copy=True)
-                    for name, value in shadow.optimizer._velocity.items()
-                },
+                shadow.optimizer.state_dict(),
                 shadow.optimizer.lr,
                 self._child_config,
                 self._loss_fn,
@@ -683,7 +662,7 @@ class ProcessEngine(ExecutionEngine):
 
         Responders are parked waiting for a verdict; silent ranks will
         deliver one stale message first and then see the abort — both
-        roll their RNG streams back worker-side.
+        reload their pre-step rank state worker-side.
         """
         for rank in list(responders) + list(silent):
             conn = self._conns.get(rank)
@@ -775,11 +754,7 @@ class ProcessEngine(ExecutionEngine):
             shadow.loss = msg[1]
             shadow.accuracy = msg[2]
             shadow.samples = msg[3]
-            for gen, state in zip(
-                collect_module_rngs(shadow.model), msg[4]
-            ):
-                gen.bit_generator.state = state
-            install_module_buffers(shadow.model, msg[7])
+            shadow.load_state_dict(msg[4])
             if aggregated is not None:
                 shadow.apply_updates(aggregated)
 

@@ -23,14 +23,13 @@ import numpy as np
 from ..nn.loss import accuracy as _accuracy
 from ..nn.module import Module, Parameter, Sequential
 from ..optim import Sgd
+from ..statetree import StateError, copy_into
 
 __all__ = [
     "RankWorker",
     "clone_module",
     "collect_module_buffers",
     "collect_module_rngs",
-    "install_module_buffers",
-    "read_module_buffers",
     "reseed_module_rngs",
 ]
 
@@ -43,57 +42,22 @@ def clone_module(module: Module) -> Module:
     return copy.deepcopy(module)
 
 
-def reseed_module_rngs(module: Module, seed: int, rank: int) -> int:
-    """Give every RNG inside ``module`` a deterministic per-rank stream.
+def _module_state_attributes(module: Module) -> list[tuple[Module, str, object]]:
+    """Every ``Generator`` / ``ndarray`` attribute in ``module``'s tree.
 
-    Walks the module tree (attributes, nested modules, lists/tuples)
-    and replaces each ``np.random.Generator`` attribute with a fresh
-    generator seeded from ``(seed, rank, position)``.  Ranks therefore
-    draw *different* dropout masks (as real replicas do) while any two
-    engines running the same rank draw *identical* ones.
-
-    Returns the number of generators replaced.
+    One walk (attributes, nested modules, lists/tuples) in one fixed
+    order, as ``(owner, attribute name, value)``: two replicas of the
+    same architecture enumerate the same positions, which is what lets
+    RNG streams be seeded, and RNG and buffer state be keyed, by
+    position.
     """
-    counter = 0
-
-    def visit(node: object) -> None:
-        nonlocal counter
-        if isinstance(node, Module):
-            for attr, value in vars(node).items():
-                if isinstance(value, np.random.Generator):
-                    setattr(
-                        node,
-                        attr,
-                        np.random.default_rng(
-                            np.random.SeedSequence([seed, rank, counter])
-                        ),
-                    )
-                    counter += 1
-                else:
-                    visit(value)
-        elif isinstance(node, (list, tuple)):
-            for item in node:
-                visit(item)
-
-    visit(module)
-    return counter
-
-
-def collect_module_rngs(module: Module) -> list[np.random.Generator]:
-    """Every RNG inside ``module``, in the reseeding walk's order.
-
-    The traversal mirrors :func:`reseed_module_rngs` exactly, so the
-    list positions line up with that function's ``(seed, rank,
-    position)`` streams — which is what lets a checkpoint capture and
-    restore per-rank RNG state positionally.
-    """
-    found: list[np.random.Generator] = []
+    found: list[tuple[Module, str, object]] = []
 
     def visit(node: object) -> None:
         if isinstance(node, Module):
-            for value in vars(node).values():
-                if isinstance(value, np.random.Generator):
-                    found.append(value)
+            for name, value in vars(node).items():
+                if isinstance(value, (np.random.Generator, np.ndarray)):
+                    found.append((node, name, value))
                 else:
                     visit(value)
         elif isinstance(node, (list, tuple)):
@@ -102,6 +66,40 @@ def collect_module_rngs(module: Module) -> list[np.random.Generator]:
 
     visit(module)
     return found
+
+
+def reseed_module_rngs(module: Module, seed: int, rank: int) -> int:
+    """Give every RNG inside ``module`` a deterministic per-rank stream.
+
+    Replaces each ``np.random.Generator`` attribute in the module tree
+    with a fresh generator seeded from ``(seed, rank, position)``.
+    Ranks therefore draw *different* dropout masks (as real replicas
+    do) while any two engines running the same rank draw *identical*
+    ones.
+
+    Returns the number of generators replaced.
+    """
+    counter = 0
+    for owner, name, value in _module_state_attributes(module):
+        if isinstance(value, np.random.Generator):
+            stream = np.random.SeedSequence([seed, rank, counter])
+            setattr(owner, name, np.random.default_rng(stream))
+            counter += 1
+    return counter
+
+
+def collect_module_rngs(module: Module) -> list[np.random.Generator]:
+    """Every RNG inside ``module``, in the reseeding walk's order.
+
+    The list positions line up with :func:`reseed_module_rngs`'s
+    ``(seed, rank, position)`` streams — which is what lets the state
+    tree capture and restore per-rank RNG state positionally.
+    """
+    return [
+        value
+        for _, _, value in _module_state_attributes(module)
+        if isinstance(value, np.random.Generator)
+    ]
 
 
 def collect_module_buffers(module: Module) -> list[tuple[Module, str]]:
@@ -111,50 +109,16 @@ def collect_module_buffers(module: Module) -> list[tuple[Module, str]]:
     :class:`Parameter` objects — batchnorm's ``running_mean`` /
     ``running_var`` — found as public ``numpy`` array attributes on a
     module (underscore-prefixed attributes are transient per-step
-    caches and excluded).  The traversal mirrors
-    :func:`collect_module_rngs`, so two replicas of the same
-    architecture enumerate their buffers in the same positional order —
-    which is what lets the process engine ship a worker's buffer values
-    over a pipe and install them into the coordinator's shadow replica
-    by position.
+    caches and excluded).  Two replicas of the same architecture
+    enumerate their buffers in the same positional order, which is what
+    lets :meth:`RankWorker.state_dict` key them by position and load
+    them into another replica of the architecture.
     """
-    found: list[tuple[Module, str]] = []
-
-    def visit(node: object) -> None:
-        if isinstance(node, Module):
-            for name, value in vars(node).items():
-                if isinstance(value, np.ndarray):
-                    if not name.startswith("_"):
-                        found.append((node, name))
-                else:
-                    visit(value)
-        elif isinstance(node, (list, tuple)):
-            for item in node:
-                visit(item)
-
-    visit(module)
-    return found
-
-
-def read_module_buffers(module: Module) -> list[np.ndarray]:
-    """Copies of the module's buffer values, in walk order."""
     return [
-        np.array(getattr(owner, name), copy=True)
-        for owner, name in collect_module_buffers(module)
+        (owner, name)
+        for owner, name, value in _module_state_attributes(module)
+        if isinstance(value, np.ndarray) and not name.startswith("_")
     ]
-
-
-def install_module_buffers(
-    module: Module, values: list[np.ndarray]
-) -> None:
-    """Set the module's buffers to ``values`` (positional, walk order)."""
-    buffers = collect_module_buffers(module)
-    if len(buffers) != len(values):
-        raise ValueError(
-            f"model has {len(buffers)} buffers, got {len(values)} values"
-        )
-    for (owner, name), value in zip(buffers, values):
-        setattr(owner, name, np.array(value, copy=True))
 
 
 class RankWorker:
@@ -169,6 +133,15 @@ class RankWorker:
         loss / accuracy / samples: results of the last compute phase
             (``None`` / 0 when the rank received an empty shard).
     """
+
+    #: :meth:`state_dict` keys every live replica holds identically
+    #: between rounds (stored once per run) ...
+    SHARED_STATE = ("params", "velocity")
+    #: ... and the keys only this rank holds: its module RNG streams
+    #: and the buffers its own forward passes update (batchnorm running
+    #: statistics).  A forward pass moves these, so they are the part
+    #: of a rank an uncommitted step attempt can change.
+    RANK_STATE = ("rngs", "buffers")
 
     def __init__(
         self,
@@ -193,6 +166,61 @@ class RankWorker:
         self.accuracy: float | None = None
         self.samples: int = 0
         self.error: BaseException | None = None
+
+    # -- state tree -------------------------------------------------------
+    def state_dict(
+        self, keys: tuple[str, ...] = SHARED_STATE + RANK_STATE
+    ) -> dict:
+        """Copies of this rank's state, one subtree per requested key."""
+        build = {
+            "params": lambda: {p.name: p.data.copy() for p in self.parameters},
+            "velocity": self.optimizer.state_dict,
+            "rngs": lambda: [
+                copy.deepcopy(gen.bit_generator.state)
+                for gen in collect_module_rngs(self.model)
+            ],
+            "buffers": lambda: {
+                str(i): getattr(owner, name).copy()
+                for i, (owner, name) in enumerate(
+                    collect_module_buffers(self.model)
+                )
+            },
+        }
+        return {key: build[key]() for key in keys}
+
+    def load_state_dict(self, state: dict) -> None:
+        """Load whichever :meth:`state_dict` subtrees ``state`` carries.
+
+        Everything is copied in place, so two workers loaded from one
+        tree share nothing and shm-backed arrays stay where they are.
+        """
+        where = f"ranks/{self.rank}"
+
+        def same_count(held: list, saved, what: str) -> None:
+            if len(held) != len(saved):
+                raise StateError(
+                    f"{where}/{what} holds {len(saved)} entries, "
+                    f"the model has {len(held)}"
+                )
+
+        if "params" in state:
+            for param in self.parameters:
+                copy_into(param.data, state["params"], param.name, "params")
+        if "velocity" in state:
+            self.optimizer.load_state_dict(state["velocity"])
+        if "rngs" in state:
+            generators = collect_module_rngs(self.model)
+            same_count(generators, state["rngs"], "rngs")
+            for gen, saved in zip(generators, state["rngs"]):
+                gen.bit_generator.state = copy.deepcopy(saved)
+        if "buffers" in state:
+            buffers = collect_module_buffers(self.model)
+            same_count(buffers, state["buffers"], "buffers")
+            for i, (owner, name) in enumerate(buffers):
+                copy_into(
+                    getattr(owner, name), state["buffers"], str(i),
+                    f"{where}/buffers",
+                )
 
     # -- compute phase ----------------------------------------------------
     def compute(

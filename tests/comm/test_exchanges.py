@@ -206,15 +206,6 @@ class TestMpiRequantization:
         # aggregate equals the sum of per-rank quantized gradients
         assert result.aggregate.shape == expected.shape
 
-    def test_reset_clears_aggregator_state(self):
-        exchange = MpiReduceBroadcast(2)
-        codec = make_quantizer("1bit*", bucket_size=16)
-        tensors = make_tensors(2, shape=(16, 16))
-        exchange.exchange("w", tensors, codec, np.random.default_rng(0))
-        exchange.reset()
-        assert exchange.traffic.total_bytes == 0
-        assert not exchange._broadcast_feedback
-
 
 class TestValidation:
     def test_wrong_rank_count_rejected(self):

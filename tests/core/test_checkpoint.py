@@ -7,20 +7,25 @@ of the trajectory, and across an engine switch at the resume point.
 """
 
 import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.core import (
+    CheckpointError,
     CheckpointPolicy,
     ParallelTrainer,
     TrainingConfig,
     latest_checkpoint,
-    save_checkpoint,
 )
 from repro.core.checkpoint import TrainingCheckpoint, config_from_dict
 from repro.data import make_image_dataset
-from repro.models import tiny_alexnet
+from repro.models import tiny_alexnet, tiny_resnet
+from repro.statetree import flatten
+
+FIXTURES_V1 = Path(__file__).parent / "fixtures_v1"
 
 
 @pytest.fixture(scope="module")
@@ -49,10 +54,17 @@ def make_config(**kw):
     return TrainingConfig(**defaults)
 
 
-def make_trainer(**kw):
-    return ParallelTrainer(
-        tiny_alexnet(num_classes=4, image_size=8, seed=1), make_config(**kw)
+def make_trainer(model="alexnet", **kw):
+    # "resnet" is the batch-normalised cell: its running statistics are
+    # per-rank state outside every Parameter
+    built = (
+        tiny_alexnet(num_classes=4, image_size=8, seed=1)
+        if model == "alexnet"
+        else tiny_resnet(
+            num_classes=4, blocks_per_stage=1, widths=(4, 8, 8), seed=1
+        )
     )
+    return ParallelTrainer(built, make_config(**kw))
 
 
 def fit(trainer, dataset, epochs, **kw):
@@ -67,10 +79,14 @@ def fit(trainer, dataset, epochs, **kw):
 
 
 def weights_of(trainer):
-    return {
-        p.name: p.data.copy()
-        for p in trainer.engine.reference_worker.parameters
-    }
+    """Every parameter and module buffer of every live rank."""
+    engine = trainer.engine
+    return flatten(
+        {
+            str(rank): engine.workers[rank].state_dict(("params", "buffers"))
+            for rank in engine.live_ranks
+        }
+    )
 
 
 def assert_same_run(history_a, weights_a, history_b, weights_b):
@@ -155,7 +171,7 @@ class TestCheckpointFiles:
         ckpt.meta["version"] = 999
         bad = tmp_path / "bad.npz"
         ckpt.save(bad)
-        with pytest.raises(ValueError, match="version"):
+        with pytest.raises(CheckpointError, match="version"):
             TrainingCheckpoint.load(bad)
 
     def test_meta_is_plain_json(self, dataset, tmp_path):
@@ -169,8 +185,12 @@ class TestCheckpointFiles:
         ckpt = TrainingCheckpoint.load(latest_checkpoint(tmp_path))
         # round-trips through json without numpy leakage
         meta = json.loads(json.dumps(ckpt.meta))
-        assert meta["step"] == 3
+        assert ckpt.step == 3
         assert config_from_dict(meta["config"]).scheme == "1bit"
+        # every leaf of the tree is an array or a JSON value
+        for path, leaf in flatten(ckpt.tree).items():
+            if not isinstance(leaf, np.ndarray):
+                assert json.loads(json.dumps(leaf)) == leaf, path
 
     def test_checkpoint_written_before_ipc_was_removed_loads(
         self, dataset, tmp_path
@@ -273,12 +293,13 @@ class TestBitIdenticalResume:
                 checkpoint=CheckpointPolicy(directory=tmp_path),
             )
         path = latest_checkpoint(tmp_path)
-        loaded = TrainingCheckpoint.load(path)
-        assert loaded.meta.get("policy_assignments")
+        carried = TrainingCheckpoint.load(path).tree["step"][
+            "policy_assignments"
+        ]
+        assert carried
         with make_trainer(**kw) as trainer:
             resumed = fit(trainer, dataset, epochs=3, resume_from=path)
             res_weights = weights_of(trainer)
-            carried = loaded.meta["policy_assignments"]
             assert trainer.step_engine.policy.assignments == carried
         assert_same_run(reference, ref_weights, resumed, res_weights)
 
@@ -308,16 +329,15 @@ class TestBitIdenticalResume:
                 epochs=1,
                 checkpoint=CheckpointPolicy(directory=tmp_path),
             )
-            live_residuals = [
-                {k: v.copy() for k, v in rank_res.items()}
-                for rank_res in trainer.step_engine._residuals
-            ]
+            live = trainer.step_engine.state_dict()["ranks"]
         ckpt = TrainingCheckpoint.load(latest_checkpoint(tmp_path))
         with make_trainer(**kw) as trainer:
             ckpt.restore(trainer)
-            restored = trainer.step_engine._residuals
-            assert len(restored) == len(live_residuals)
-            for saved, loaded in zip(live_residuals, restored):
+            restored = trainer.step_engine.state_dict()["ranks"]
+            assert restored.keys() == live.keys() == {"0", "1"}
+            for rank, held in live.items():
+                saved = held["residuals"]
+                loaded = restored[rank]["residuals"]
                 assert saved.keys() == loaded.keys()
                 nonzero = 0
                 for name in saved:
@@ -380,15 +400,27 @@ class TestBitIdenticalResume:
         assert_same_run(reference, ref_weights, resumed, res_weights)
 
     @pytest.mark.parametrize(
-        "writer,resumer",
-        [("process", "sequential"), ("threaded", "process")],
+        "writer,resumer,model",
+        [
+            pytest.param("process", "sequential", "alexnet",
+                         id="process-sequential"),
+            pytest.param("threaded", "process", "alexnet",
+                         id="threaded-process"),
+        ]
+        # the batch-normalised model, on every engine: each rank's
+        # running statistics are state outside every Parameter, and a
+        # checkpoint that drops them resumes to a different trajectory
+        + [
+            pytest.param(engine, engine, "resnet", id=f"resnet-{engine}")
+            for engine in ("sequential", "threaded", "process")
+        ],
     )
     def test_mid_epoch_resume_lands_on_different_engine(
-        self, dataset, tmp_path, writer, resumer
+        self, dataset, tmp_path, writer, resumer, model
     ):
         # mid-epoch state (shuffle position, partial epoch metrics) must
         # survive the engine switch, not just epoch boundaries
-        kw = dict(scheme="1bit", exchange="mpi")
+        kw = dict(scheme="1bit", exchange="mpi", model=model)
         with make_trainer(engine="sequential", **kw) as trainer:
             reference = fit(trainer, dataset, epochs=2)
             ref_weights = weights_of(trainer)
@@ -426,3 +458,76 @@ class TestBitIdenticalResume:
                 resume_from=latest_checkpoint(tmp_path),
             )
         assert [m.epoch for m in resumed.epochs] == [0, 1, 2]
+
+
+class TestFormatOneStillResumes:
+    """Checkpoints written by the last format-1 commit (see
+    ``fixtures_v1/make_fixtures.py``) load through the one adapter and
+    continue to the digest that commit's own resume produced."""
+
+    DIGESTS = json.loads((FIXTURES_V1 / "digests.json").read_text())
+
+    @pytest.mark.parametrize("name", sorted(DIGESTS))
+    def test_fixture_resumes_to_recorded_digest(self, name, monkeypatch):
+        monkeypatch.syspath_prepend(str(FIXTURES_V1))
+        sys.modules.pop("cells", None)
+        from cells import CELLS, build
+
+        cell = CELLS[name]
+        ckpt = TrainingCheckpoint.load(FIXTURES_V1 / f"{name}.npz")
+        assert ckpt.step == cell["step"] and ckpt.batches_done > 0
+        with build(cell, faults=False) as trainer:
+            history = trainer.fit(
+                *cell["data"], epochs=cell["epochs"], resume_from=ckpt
+            )
+        assert history.digest() == self.DIGESTS[name]
+
+
+class TestDamagedCheckpoints:
+    """Every way a file can be wrong has one name: CheckpointError."""
+
+    @pytest.fixture()
+    def good(self, dataset, tmp_path):
+        with make_trainer() as trainer:
+            fit(
+                trainer,
+                dataset,
+                epochs=1,
+                checkpoint=CheckpointPolicy(directory=tmp_path),
+            )
+        return latest_checkpoint(tmp_path)
+
+    @pytest.mark.parametrize("keep", [0, 10, 0.5, -30])
+    def test_truncated_archive(self, good, keep):
+        data = good.read_bytes()
+        cut = int(len(data) * keep) if isinstance(keep, float) else keep
+        good.write_bytes(data[:cut])
+        with pytest.raises(CheckpointError, match=good.name):
+            TrainingCheckpoint.load(good)
+
+    def test_archive_missing_one_member(self, good, tmp_path):
+        import zipfile
+
+        lost = "step/ranks/0/residuals/fc6.W"
+        torn = tmp_path / "torn.npz"
+        with zipfile.ZipFile(good) as src, zipfile.ZipFile(torn, "w") as dst:
+            assert f"{lost}.npy" in src.namelist()
+            for item in src.infolist():
+                if item.filename != f"{lost}.npy":
+                    dst.writestr(item, src.read(item))
+        with pytest.raises(CheckpointError, match=lost):
+            TrainingCheckpoint.load(torn)
+
+    def test_parameter_the_trainer_expects_is_absent(self, good):
+        ckpt = TrainingCheckpoint.load(good)
+        del ckpt.tree["params"]["fc6.W"]
+        with make_trainer() as trainer:
+            with pytest.raises(CheckpointError, match="params/fc6.W"):
+                ckpt.restore(trainer)
+
+    def test_shape_mismatch_names_the_path(self, good):
+        ckpt = TrainingCheckpoint.load(good)
+        ckpt.tree["params"]["fc6.W"] = np.zeros((3, 3), dtype=np.float32)
+        with make_trainer() as trainer:
+            with pytest.raises(CheckpointError, match=r"params/fc6\.W.*shape"):
+                ckpt.restore(trainer)

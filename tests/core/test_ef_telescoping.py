@@ -76,10 +76,9 @@ def test_residuals_telescope_across_rounds(
                 step.accumulate("W", grads)
             step.advance_round()
     residuals = np.zeros(SHAPE, dtype=np.float64)
-    for rank in range(world_size):
-        leftover = step._residuals[rank].get("W")
-        if leftover is not None:
-            residuals += leftover
+    for held in step.state_dict()["ranks"].values():
+        if "W" in held["residuals"]:
+            residuals += held["residuals"]["W"]
     np.testing.assert_allclose(
         flushed + residuals,
         total,
@@ -112,10 +111,14 @@ def test_residual_unchanged_on_skipped_micro_steps(frequency, seed):
     step.aggregate("W", micro_grads())
     step.advance_round()
     assert step.round_position == 0
-    before = [step._residuals[r]["W"].copy() for r in range(2)]
+    def residuals():
+        ranks = step.state_dict()["ranks"]
+        return [ranks[str(r)]["residuals"]["W"] for r in range(2)]
+
+    before = residuals()
     for _ in range(frequency - 1):
         assert not step.sync_this_step
         step.accumulate("W", micro_grads())
         step.advance_round()
-    for rank in range(2):
-        assert np.array_equal(before[rank], step._residuals[rank]["W"])
+    for held_before, held_after in zip(before, residuals()):
+        assert np.array_equal(held_before, held_after)

@@ -358,8 +358,8 @@ class TestSynchronousStepAccumulation:
         ]
         step.accumulate("W", grads)
         step.aggregate("W", grads)
-        for rank_acc in step._accumulators:
-            assert not np.any(rank_acc["W"])
+        for held in step.state_dict()["ranks"].values():
+            assert not np.any(held["accumulators"]["W"])
 
     def test_round_position_wraps(self):
         step = self.make_step()

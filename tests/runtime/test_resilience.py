@@ -17,12 +17,36 @@ import pytest
 
 from repro.core import ParallelTrainer, TrainingConfig
 from repro.data import make_image_dataset
-from repro.models import tiny_alexnet
+from repro.models import tiny_alexnet, tiny_resnet
 from repro.runtime import RetryPolicy, StepBarrier, TopologyChange
 from repro.runtime.barrier import BarrierTimeout
+from repro.statetree import flatten
 from repro.telemetry import Tracer
 
 ENGINES = ("sequential", "threaded")
+TRANSIENT_CRASH = dict(crash_rank=1, crash_step=2, crash_transient=True)
+# the model axis: "resnet" is batch-normalised, so every rank carries
+# running statistics outside its parameters — state a forward pass
+# moves and a rolled-back attempt must rewind.  Those cells also run on
+# real processes (the alexnet process cells live in
+# test_process_engine.py), once with a real SIGKILL: the respawned rank
+# must get its running statistics back from the coordinator's shadow.
+RETRY_CELLS = (
+    [
+        pytest.param(engine, "alexnet", TRANSIENT_CRASH, id=engine)
+        for engine in ENGINES
+    ]
+    + [
+        pytest.param(engine, "resnet", TRANSIENT_CRASH, id=f"resnet-{engine}")
+        for engine in ENGINES + ("process",)
+    ]
+    + [
+        pytest.param(
+            "process", "resnet", dict(kill_points=((1, 2),)),
+            id="resnet-process-sigkill",
+        )
+    ]
+)
 
 
 @pytest.fixture(scope="module")
@@ -37,8 +61,16 @@ def dataset():
     )
 
 
+def build_model(model):
+    if model == "alexnet":
+        return tiny_alexnet(num_classes=4, image_size=8, seed=1)
+    return tiny_resnet(
+        num_classes=4, blocks_per_stage=1, widths=(4, 8, 8), seed=1
+    )
+
+
 def run(dataset, engine, *, epochs=2, world_size=3, batch_size=18,
-        trace=False, barrier_timeout=10.0, **kw):
+        trace=False, barrier_timeout=10.0, model="alexnet", **kw):
     config = TrainingConfig(
         scheme="1bit",
         exchange="mpi",
@@ -51,9 +83,7 @@ def run(dataset, engine, *, epochs=2, world_size=3, batch_size=18,
         tracer=Tracer() if trace else None,
         **kw,
     )
-    with ParallelTrainer(
-        tiny_alexnet(num_classes=4, image_size=8, seed=1), config
-    ) as trainer:
+    with ParallelTrainer(build_model(model), config) as trainer:
         history = trainer.fit(
             dataset.train_x,
             dataset.train_y,
@@ -62,10 +92,16 @@ def run(dataset, engine, *, epochs=2, world_size=3, batch_size=18,
             epochs=epochs,
         )
         counters = trainer.engine.tracer.counter_sink
-        weights = {
-            p.name: p.data.copy()
-            for p in trainer.engine.reference_worker.parameters
-        }
+        # every parameter and module buffer of every live rank
+        engine = trainer.engine
+        weights = flatten(
+            {
+                str(rank): engine.workers[rank].state_dict(
+                    ("params", "buffers")
+                )
+                for rank in engine.live_ranks
+            }
+        )
     return history, counters, weights
 
 
@@ -170,21 +206,20 @@ class TestBarrierDeregister:
 
 
 class TestTransientRetry:
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("engine,model,fault", RETRY_CELLS)
     def test_retried_step_leaves_trajectory_unchanged(
-        self, dataset, engine
+        self, dataset, engine, model, fault
     ):
-        reference, _, ref_weights = run(dataset, engine)
+        reference, _, ref_weights = run(dataset, engine, model=model)
         assert not reference.failed
         history, counters, weights = run(
             dataset,
             engine,
+            model=model,
             trace=True,
-            crash_rank=1,
-            crash_step=2,
-            crash_transient=True,
             max_retries=2,
             retry_backoff=0.0,
+            **fault,
         )
         assert not history.failed
         assert not history.topology_changes
@@ -268,6 +303,37 @@ class TestEviction:
         assert seq_history.digest() == thr_history.digest()
         for name, data in seq_weights.items():
             assert np.array_equal(data, thr_weights[name])
+
+    @pytest.mark.parametrize("model", ["alexnet", "resnet"])
+    def test_engines_agree_after_evicting_the_reference_rank(
+        self, dataset, model
+    ):
+        # rank 0 is retried once (ranks 1 and 2 may have run their
+        # forward pass by then, how far differs per engine), then
+        # evicted: rank 1 becomes the reference replica and the run
+        # evaluates with rank 1's own batchnorm running statistics
+        engines = ENGINES + (("process",) if model == "resnet" else ())
+        results = {
+            engine: run(
+                dataset,
+                engine,
+                model=model,
+                crash_rank=0,
+                crash_step=2,
+                max_retries=1,
+                retry_backoff=0.0,
+                allow_degraded=True,
+            )
+            for engine in engines
+        }
+        seq_history, _, seq_weights = results["sequential"]
+        assert seq_history.topology_changes[0].survivors == (1, 2)
+        for engine in engines[1:]:
+            history, _, weights = results[engine]
+            assert history.digest() == seq_history.digest(), engine
+            assert weights.keys() == seq_weights.keys()
+            for name, data in seq_weights.items():
+                assert np.array_equal(data, weights[name]), (engine, name)
 
     def test_rank0_eviction_keeps_reference_replica_valid(self, dataset):
         history, _, _ = run(

@@ -151,6 +151,20 @@ class TestRunnerInProcess:
     def test_run_job_without_record_fails_cleanly(self, tmp_path):
         assert run_job(tmp_path) == 2
 
+    def test_torn_checkpoint_fails_the_job_with_a_named_error(self, tmp_path):
+        from repro.serve import JobStore
+
+        store = JobStore(tmp_path / "root")
+        record = store.submit(JobSpec.from_dict(TINY_SPEC))
+        ckpts = store.job_dir(record.job_id) / "ckpts"
+        ckpts.mkdir()
+        (ckpts / "ckpt-00000001.npz").write_bytes(b"PK\x03\x04 torn")
+        assert run_job(store.job_dir(record.job_id)) == 1
+        result = store.read_result(record.job_id)
+        assert result["state"] == "failed"
+        assert "CheckpointError" in result["traceback"]
+        assert "ckpt-00000001.npz" in result["traceback"]
+
     def test_cooperative_cancel_flag(self, tmp_path):
         from repro.serve import JobStore
 

@@ -276,6 +276,36 @@ class TestResumeCommand:
         assert main(["resume", str(tmp_path)]) == 2
         assert "no ckpt-*.npz" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("damage", ["empty", "cut-short", "wrong-shape"])
+    def test_damaged_checkpoint_is_one_error_line(
+        self, capsys, tmp_path, damage
+    ):
+        import numpy as np
+
+        from repro.core import TrainingCheckpoint, latest_checkpoint
+
+        assert main(
+            self.train_args(
+                "--epochs", "1", "--checkpoint-dir", str(tmp_path)
+            )
+        ) == 0
+        capsys.readouterr()
+        path = latest_checkpoint(tmp_path)
+        if damage == "wrong-shape":
+            # loads, but does not fit the trainer: found at restore
+            ckpt = TrainingCheckpoint.load(path)
+            name = next(iter(ckpt.tree["params"]))
+            ckpt.tree["params"][name] = np.zeros((3, 3), dtype=np.float32)
+            ckpt.save(path)
+        else:
+            data = path.read_bytes()
+            path.write_bytes(data[: 0 if damage == "empty" else -30])
+        assert main(["resume", str(path), "--epochs", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("repro resume: error: ")
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err + captured.out
+
 
 class TestTrace:
     def args(self, tmp_path, *extra):

@@ -48,14 +48,6 @@ class TestSgd:
         with pytest.raises(ValueError):
             Sgd(lr=0.1, momentum=1.0)
 
-    def test_reset_clears_velocity(self):
-        p = Parameter("w", np.zeros(1, dtype=np.float32))
-        opt = Sgd(lr=1.0, momentum=0.9)
-        opt.apply(p, np.ones(1, dtype=np.float32))
-        opt.reset()
-        p.data[:] = 0.0
-        opt.apply(p, np.zeros(1, dtype=np.float32))
-        np.testing.assert_allclose(p.data, [0.0])
 
 
 class TestSchedules:
