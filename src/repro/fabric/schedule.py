@@ -34,8 +34,9 @@ not) and schemes.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate
+from typing import NamedTuple
 
 from ..comm.topology import partition_ranges
 from ..quantization import Quantizer, make_quantizer
@@ -54,9 +55,10 @@ __all__ = [
 PATTERN_NAMES = ("ring", "tree", "butterfly", "hierarchical")
 
 
-@dataclass(frozen=True)
-class Transfer:
+class Transfer(NamedTuple):
     """One point-to-point message of a collective schedule.
+
+    A tuple record: a K=1024 ring compiles two million of them.
 
     Attributes:
         index: position in the schedule (deps always point backwards).
@@ -126,9 +128,10 @@ class _Builder:
     """Accumulates transfers, tracking each rank's receive history."""
 
     def __init__(self, chunk_bytes: tuple[int, ...]):
-        self.chunk_bytes = chunk_bytes
+        #: bytes of chunks [0, c): a chunk range costs one subtraction
+        self.bytes_before = list(accumulate(chunk_bytes, initial=0))
         self.transfers: list[Transfer] = []
-        self.received: dict[int, list[int]] = {}
+        self.received: list[list[int]] = [[] for _ in chunk_bytes]
 
     def add(
         self,
@@ -142,22 +145,13 @@ class _Builder:
     ) -> int:
         """Append a transfer; default deps = all of src's receives."""
         if deps is None:
-            deps = tuple(self.received.get(src, ()))
+            deps = tuple(self.received[src])
         index = len(self.transfers)
+        nbytes = self.bytes_before[hi] - self.bytes_before[lo]
         self.transfers.append(
-            Transfer(
-                index=index,
-                src=src,
-                dst=dst,
-                lo=lo,
-                hi=hi,
-                nbytes=sum(self.chunk_bytes[lo:hi]),
-                op=op,
-                deps=deps,
-                round=round_,
-            )
+            Transfer(index, src, dst, lo, hi, nbytes, op, deps, round_)
         )
-        self.received.setdefault(dst, []).append(index)
+        self.received[dst].append(index)
         return index
 
 
@@ -386,47 +380,57 @@ def verify_allreduce(schedule: CollectiveSchedule) -> None:
     every rank's contribution *exactly once* — the defining property
     of a correct allreduce.  Raises ``ValueError`` with the first
     violation found.
+
+    It is a counting argument, not a multiset: per (rank, chunk) one
+    int whose bit ``r`` says rank ``r``'s contribution is held, and
+    one whose bit ``r`` says it was folded in more than once — a
+    reduce doubles exactly the contributions both sides already hold.
     """
     k = schedule.world_size
-    state: list[list[Counter]] = [
-        [Counter({rank: 1}) for _ in range(k)] for rank in range(k)
-    ]
-    for t in schedule.transfers:
-        if any(d >= t.index for d in t.deps):
+    held = [[1 << rank] * k for rank in range(k)]
+    twice = [[0] * k for _ in range(k)]
+    bytes_before = list(accumulate(schedule.chunk_bytes, initial=0))
+    for index, src, dst, lo, hi, nbytes, op, deps, _ in schedule.transfers:
+        if deps and max(deps) >= index:
             raise ValueError(
-                f"transfer {t.index} depends forward on {t.deps}"
+                f"transfer {index} depends forward on {deps}"
             )
-        if not (0 <= t.lo < t.hi <= k):
+        if not (0 <= lo < hi <= k):
             raise ValueError(
-                f"transfer {t.index} carries bad chunk range "
-                f"[{t.lo}, {t.hi}) for {k} chunks"
+                f"transfer {index} carries bad chunk range "
+                f"[{lo}, {hi}) for {k} chunks"
             )
-        expected = sum(schedule.chunk_bytes[t.lo:t.hi])
-        if t.nbytes != expected:
+        expected = bytes_before[hi] - bytes_before[lo]
+        if nbytes != expected:
             raise ValueError(
-                f"transfer {t.index} claims {t.nbytes} bytes but its "
+                f"transfer {index} claims {nbytes} bytes but its "
                 f"chunks encode to {expected}"
             )
-        for chunk in range(t.lo, t.hi):
-            payload = state[t.src][chunk]
-            if t.op == "reduce":
-                state[t.dst][chunk] = state[t.dst][chunk] + payload
-            elif t.op == "copy":
-                state[t.dst][chunk] = Counter(payload)
-            else:
-                raise ValueError(
-                    f"transfer {t.index} has unknown op {t.op!r}"
+        src_held, src_twice = held[src], twice[src]
+        dst_held, dst_twice = held[dst], twice[dst]
+        if op == "reduce":
+            for chunk in range(lo, hi):
+                dst_twice[chunk] |= src_twice[chunk] | (
+                    dst_held[chunk] & src_held[chunk]
                 )
-    want = Counter({rank: 1 for rank in range(k)})
+                dst_held[chunk] |= src_held[chunk]
+        elif op == "copy":
+            dst_held[lo:hi] = src_held[lo:hi]
+            dst_twice[lo:hi] = src_twice[lo:hi]
+        else:
+            raise ValueError(f"transfer {index} has unknown op {op!r}")
+    everyone = (1 << k) - 1
     for rank in range(k):
         for chunk in range(k):
-            got = state[rank][chunk]
-            if got != want:
-                over = [r for r, n in got.items() if n > 1]
-                missing = [r for r in range(k) if r not in got]
+            if held[rank][chunk] != everyone or twice[rank][chunk]:
+                over = [
+                    r for r in range(k) if twice[rank][chunk] >> r & 1
+                ]
+                missing = [
+                    r for r in range(k) if not held[rank][chunk] >> r & 1
+                ]
                 raise ValueError(
                     f"rank {rank} chunk {chunk}: contributions "
                     f"reduced more than once from {over}, missing "
-                    f"{missing}" if over or missing else
-                    f"rank {rank} chunk {chunk}: bad state {dict(got)}"
+                    f"{missing}"
                 )

@@ -25,8 +25,12 @@ the same event trace, byte for byte.
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass, field
+from bisect import bisect_right
+from dataclasses import dataclass
+from heapq import heappop, heappush
+from itertools import accumulate
+from math import inf
+from typing import NamedTuple
 
 from ..runtime.resilience import TopologyChange
 from .schedule import CollectiveSchedule, compile_collective
@@ -57,21 +61,36 @@ class LinkFault:
     fail_at_s: float = 0.0
     recover_at_s: float | None = None
 
+    def __post_init__(self) -> None:
+        # ``not >=`` rather than ``<``: a NaN time is refused too
+        if not self.fail_at_s >= 0:
+            raise ValueError(
+                f"link fault {self.src}:{self.dst} fails at "
+                f"{self.fail_at_s} s; the time must be >= 0"
+            )
+        if self.recover_at_s is not None and not (
+            self.recover_at_s > self.fail_at_s
+        ):
+            raise ValueError(
+                f"link fault {self.src}:{self.dst} recovers at "
+                f"{self.recover_at_s} s, not after it fails at "
+                f"{self.fail_at_s} s"
+            )
+
     @property
     def permanent(self) -> bool:
         return self.recover_at_s is None
-
-    def covers(self, key: tuple[str, str]) -> bool:
-        return key in ((self.src, self.dst), (self.dst, self.src))
 
     @property
     def keys(self) -> tuple[tuple[str, str], tuple[str, str]]:
         return ((self.src, self.dst), (self.dst, self.src))
 
 
-@dataclass(frozen=True)
-class LinkOccupancy:
-    """One transfer's occupancy of one link (a Chrome-trace slice)."""
+class LinkOccupancy(NamedTuple):
+    """One transfer's occupancy of one link (a Chrome-trace slice).
+
+    A tuple record: the event loop makes one per hop of every transfer.
+    """
 
     link: tuple[str, str]
     link_class: str
@@ -143,21 +162,28 @@ class _Partition(Exception):
         super().__init__(f"fabric partitioned at {at_s:.6f}s")
 
 
-@dataclass
-class _LinkState:
-    """Mutable per-run link bookkeeping."""
-
-    free_at: dict[tuple[str, str], float] = field(default_factory=dict)
-
-
-def _dead_keys(
-    faults: tuple[LinkFault, ...], now: float
-) -> frozenset[tuple[str, str]]:
-    dead: set[tuple[str, str]] = set()
+def _check_faults(
+    topology: FabricTopology, faults: tuple[LinkFault, ...]
+) -> None:
+    """Refuse a fault on a link the topology does not have."""
     for fault in faults:
-        if fault.permanent and fault.fail_at_s <= now:
-            dead.update(fault.keys)
-    return frozenset(dead)
+        if not any(key in topology.links for key in fault.keys):
+            # switches before GPUs: the uplink is the likely intent
+            peers = sorted(
+                (b for a, b in topology.links if a == fault.src),
+                key=lambda node: (node.startswith("gpu"), node),
+            )
+            raise ValueError(
+                f"no link {fault.src}:{fault.dst} in this "
+                f"{topology.name} fabric to fail; "
+                + (
+                    f"{fault.src} connects to {', '.join(peers[:6])}"
+                    + (", ..." if len(peers) > 6 else "")
+                    if peers
+                    else f"it has no node {fault.src!r} (nodes are "
+                    "named gpu<r>, host<h>, leaf<l>, spine<s>)"
+                )
+            )
 
 
 def simulate_schedule(
@@ -175,89 +201,114 @@ def simulate_schedule(
     transfer with no route; :func:`run_collective` turns that into
     topology changes plus a survivor re-run.
     """
+    _check_faults(topology, faults)
     if rank_map is None:
         rank_map = tuple(range(schedule.world_size))
-    flaps = tuple(f for f in faults if not f.permanent)
-    end_of: dict[int, float] = {}
-    links = _LinkState()
-    occupancies: list[LinkOccupancy] = []
-    # dependents adjacency + indegree for dependency-ordered release
-    indegree = {t.index: len(t.deps) for t in schedule.transfers}
-    dependents: dict[int, list[int]] = {}
-    for t in schedule.transfers:
-        for d in t.deps:
-            dependents.setdefault(d, []).append(t.index)
-    heap: list[tuple[float, int]] = []
-    for t in schedule.transfers:
-        if indegree[t.index] == 0:
-            heapq.heappush(heap, (start_time, t.index))
     transfers = schedule.transfers
+    # Fault state is tabulated once: the dead set only changes at the
+    # instants a permanent fault strikes, so ``dead_sets[i]`` is what
+    # is dead once ``i`` of the sorted ``fail_times`` have passed (the
+    # one empty set when nothing fails for good), and flaps are looked
+    # up by the link they cover, in the order they were given.
+    cuts = sorted(
+        (f for f in faults if f.permanent), key=lambda f: f.fail_at_s
+    )
+    fail_times = [f.fail_at_s for f in cuts] + [inf]
+    dead_sets = [frozenset()]
+    for cut in cuts:
+        dead_sets.append(dead_sets[-1].union(cut.keys))
+    flaps_on: dict[tuple[str, str], list[LinkFault]] = {}
+    for fault in faults:
+        if not fault.permanent:
+            for key in fault.keys:
+                flaps_on.setdefault(key, []).append(fault)
+    # wire seconds per (payload size, link), each computed once
+    wire_seconds: dict[int, dict[tuple[str, str], float]] = {}
+    free_at: dict[tuple[str, str], float] = {}
+    occupancies: list[LinkOccupancy] = []
+    # dependency-ordered release, indexed by transfer: a transfer is
+    # ready when the last of its dependencies finishes.  Transfer i's
+    # dependents are ``dependents[first[i]:first[i + 1]]`` -- flat
+    # lists, because a list per transfer is a container per transfer
+    # for the collector to walk
+    indegree = [len(t.deps) for t in transfers]
+    ready_at = [start_time] * len(transfers)
+    fan_out = [0] * (len(transfers) + 1)
+    for t in transfers:
+        for d in t.deps:
+            fan_out[d + 1] += 1
+    first = list(accumulate(fan_out))
+    dependents = [0] * first[-1]
+    slot = first[:]
+    for t in transfers:
+        for d in t.deps:
+            dependents[slot[d]] = t.index
+            slot[d] += 1
+    # (ready, index) order is the FIFO order on a contended link; equal
+    # times in ascending index order are a heap as they stand
+    heap = [(start_time, i) for i, n in enumerate(indegree) if n == 0]
+    done = 0
     makespan = start_time
     while heap:
-        ready, index = heapq.heappop(heap)
+        cursor, index = heappop(heap)
         t = transfers[index]
         src, dst = rank_map[t.src], rank_map[t.dst]
-        cursor = ready
+        nbytes, op = t.nbytes, t.op
+        seconds_on = wire_seconds.get(nbytes)
+        if seconds_on is None:
+            seconds_on = wire_seconds[nbytes] = {}
         # route around links already permanently dead at ready time;
         # restart the walk if a link dies underneath the transfer
-        for _attempt in range(len(faults) + 1):
-            dead = _dead_keys(faults, cursor)
-            route = topology.route(src, dst, flow=t.lo, avoid=dead)
+        while True:
+            epoch = bisect_right(fail_times, cursor)
+            dead = dead_sets[epoch]
+            route = topology.route(src, dst, t.lo, dead)
             if route is None:
-                raise _Partition(
-                    cursor, dead, occupancies, len(end_of)
-                )
+                raise _Partition(cursor, dead, occupancies, done)
+            next_fail = fail_times[epoch]
             hop_cursor = cursor
             pending: list[LinkOccupancy] = []
-            restart = False
             for link in route:
-                hop_start = max(hop_cursor, links.free_at.get(link.key,
-                                                              0.0))
-                for flap in flaps:
-                    if flap.covers(link.key) and (
-                        flap.fail_at_s <= hop_start < flap.recover_at_s
-                    ):
-                        hop_start = flap.recover_at_s
-                newly_dead = _dead_keys(faults, hop_start)
-                if link.key in newly_dead and link.key not in dead:
-                    cursor = hop_start
-                    restart = True
+                key = link.key
+                hop_start = free_at.get(key, 0.0)
+                if hop_start < hop_cursor:
+                    hop_start = hop_cursor
+                if flaps_on:
+                    for flap in flaps_on.get(key, ()):
+                        if flap.fail_at_s <= hop_start < flap.recover_at_s:
+                            hop_start = flap.recover_at_s
+                if hop_start >= next_fail and key in dead_sets[
+                    bisect_right(fail_times, hop_start)
+                ]:
                     break
-                if link.key in newly_dead:  # pragma: no cover - routed
-                    raise _Partition(hop_start, newly_dead,
-                                     occupancies, len(end_of))
-                hop_end = hop_start + link.seconds(t.nbytes)
+                try:
+                    seconds = seconds_on[key]
+                except KeyError:
+                    seconds = seconds_on[key] = link.seconds(nbytes)
+                hop_end = hop_start + seconds
                 pending.append(
                     LinkOccupancy(
-                        link=link.key,
-                        link_class=link.cls.name,
-                        transfer=index,
-                        op=t.op,
-                        start_s=hop_start,
-                        end_s=hop_end,
-                        nbytes=t.nbytes,
+                        key, link.cls.name, index, op, hop_start,
+                        hop_end, nbytes,
                     )
                 )
                 hop_cursor = hop_end
-            if restart:
-                continue
-            # commit the walk: occupy the links
-            for occ in pending:
-                links.free_at[occ.link] = occ.end_s
-            occupancies.extend(pending)
-            break
-        else:  # pragma: no cover - bounded by fault count
-            raise RuntimeError("link fault rerouting did not converge")
-        end_of[index] = hop_cursor
-        makespan = max(makespan, hop_cursor)
-        for dep_index in dependents.get(index, ()):
+            else:
+                break
+            cursor = hop_start
+        # commit the walk: occupy the links
+        for occ in pending:
+            free_at[occ.link] = occ.end_s
+        occupancies += pending
+        done += 1
+        if hop_cursor > makespan:
+            makespan = hop_cursor
+        for dep_index in dependents[first[index]:first[index + 1]]:
+            if hop_cursor > ready_at[dep_index]:
+                ready_at[dep_index] = hop_cursor
             indegree[dep_index] -= 1
-            if indegree[dep_index] == 0:
-                ready_at = max(
-                    (end_of[d] for d in transfers[dep_index].deps),
-                    default=start_time,
-                )
-                heapq.heappush(heap, (ready_at, dep_index))
+            if not indegree[dep_index]:
+                heappush(heap, (ready_at[dep_index], dep_index))
     return FabricSimResult(
         topology_name=topology.name,
         pattern=schedule.pattern,
@@ -265,7 +316,7 @@ def simulate_schedule(
         world_size=schedule.world_size,
         makespan_seconds=makespan - start_time,
         occupancies=tuple(occupancies),
-        completed_transfers=len(end_of),
+        completed_transfers=done,
         survivors=tuple(rank_map),
     )
 
@@ -289,6 +340,7 @@ def run_collective(
     grouping) and resumes at the failure time, exactly mirroring the
     resilience loop's reshard-and-continue semantics.
     """
+    _check_faults(topology, faults)  # before compiling anything
     live = tuple(range(topology.world_size))
 
     def _compile(ranks: tuple[int, ...]) -> CollectiveSchedule:

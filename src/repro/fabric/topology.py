@@ -90,10 +90,11 @@ class Link:
     src: str
     dst: str
     cls: LinkClass
+    #: ``(src, dst)``, stored: the event loop reads it on every hop
+    key: tuple[str, str] = field(init=False, repr=False, compare=False)
 
-    @property
-    def key(self) -> tuple[str, str]:
-        return (self.src, self.dst)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "key", (self.src, self.dst))
 
     def seconds(self, nbytes: int) -> float:
         """Wire time for ``nbytes`` on this link, latency included."""
@@ -123,6 +124,11 @@ class FabricTopology:
     host_of: tuple[str, ...]
     leaf_of_host: dict[str, str] = field(default_factory=dict)
     spines: tuple[str, ...] = ()
+    #: route memo; not an init field, so ``dataclasses.replace`` (a
+    #: re-rated copy) starts from an empty one
+    _routes: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     # -- structure --------------------------------------------------------
     @property
@@ -173,56 +179,62 @@ class FabricTopology:
         chunks of one collective can spread over distinct spines.
         ``avoid`` removes links (e.g. failed ones); returns ``None``
         when no route survives.
+
+        Routes are memoised per ``(src, dst, avoid)`` as the tuple of
+        equal-cost candidates ``flow`` picks from, so a collective pays
+        for its few distinct pairs, not for every transfer.
+        """
+        try:
+            base, candidates = self._routes[src, dst, avoid]
+        except KeyError:
+            base, candidates = self._routes[src, dst, avoid] = (
+                self._candidate_routes(src, dst, avoid)
+            )
+        if not candidates:
+            return None
+        return candidates[(base + flow) % len(candidates)]
+
+    def _candidate_routes(
+        self, src: int, dst: int, avoid: frozenset[tuple[str, str]]
+    ) -> tuple[int, tuple[tuple[Link, ...], ...]]:
+        """(ECMP hash base, one route per live spine) for a rank pair.
+
+        Pairs that share a leaf have the one route; an unroutable pair
+        has none, which is the partition signal.
         """
         self._check_rank(src)
         self._check_rank(dst)
         if src == dst:
-            return ()
+            return 0, ((),)
         src_host, dst_host = self.host_of[src], self.host_of[dst]
         up = [(f"gpu{src}", src_host)]
         down = [(dst_host, f"gpu{dst}")]
+        # per candidate, the hops between the way up and the way down
+        base, middles = 0, [[]]
         if src_host != dst_host:
             src_leaf = self.leaf_of_host[src_host]
             dst_leaf = self.leaf_of_host[dst_host]
             up.append((src_host, src_leaf))
             down.insert(0, (dst_leaf, dst_host))
             if src_leaf != dst_leaf:
-                spine = self._pick_spine(src_leaf, dst_leaf, flow, avoid)
-                if spine is None:
-                    return None
-                up.append((src_leaf, spine))
-                down.insert(0, (spine, dst_leaf))
-        hops = up + down
-        if any(hop in avoid for hop in hops):
-            return None
+                base = int(src_leaf.removeprefix("leaf")) + int(
+                    dst_leaf.removeprefix("leaf")
+                )
+                middles = [
+                    [(src_leaf, spine), (spine, dst_leaf)]
+                    for spine in self.spines
+                    if (src_leaf, spine) not in avoid
+                    and (spine, dst_leaf) not in avoid
+                ]
+        if any(hop in avoid for hop in up + down):
+            return base, ()
         try:
-            return tuple(self.links[hop] for hop in hops)
+            return base, tuple(
+                tuple(self.links[hop] for hop in up + middle + down)
+                for middle in middles
+            )
         except KeyError as exc:  # pragma: no cover - topology invariant
             raise ValueError(f"no link for hop {exc}") from None
-
-    def _pick_spine(
-        self,
-        src_leaf: str,
-        dst_leaf: str,
-        flow: int,
-        avoid: frozenset[tuple[str, str]],
-    ) -> str | None:
-        """Deterministic ECMP: hash the flow over the live spines."""
-        if not self.spines:  # pragma: no cover - builder invariant
-            return None
-        live = [
-            s
-            for s in self.spines
-            if (src_leaf, s) not in avoid and (s, dst_leaf) not in avoid
-        ]
-        if not live:
-            return None
-        index = (
-            int(src_leaf.removeprefix("leaf"))
-            + int(dst_leaf.removeprefix("leaf"))
-            + flow
-        ) % len(live)
-        return live[index]
 
     # -- reachability (failure handling) ----------------------------------
     def reachable_ranks(

@@ -162,6 +162,110 @@ class TestFaults:
         assert result.makespan_seconds == base.makespan_seconds
 
 
+class TestFaultValidation:
+    """A fault that cannot happen is refused where it enters."""
+
+    def topo(self):
+        return leaf_spine(16, gpus_per_host=4, hosts_per_leaf=2,
+                          spines=2)
+
+    def test_negative_fail_time_refused(self):
+        with pytest.raises(ValueError, match=">= 0"):
+            LinkFault("host0", "leaf0", fail_at_s=-1.0)
+
+    @pytest.mark.parametrize("recover_at_s", [1.0, 2.0])
+    def test_recovery_not_after_failure_refused(self, recover_at_s):
+        with pytest.raises(ValueError, match="not after it fails"):
+            LinkFault("host0", "leaf0", fail_at_s=2.0,
+                      recover_at_s=recover_at_s)
+
+    def test_unknown_link_refused_naming_neighbours(self):
+        fault = LinkFault("host0", "leaf9")
+        with pytest.raises(ValueError) as err:
+            run_collective(self.topo(), "ring", 10_000, faults=(fault,))
+        message = str(err.value)
+        assert "host0:leaf9" in message
+        assert "host0 connects to leaf0, gpu0, gpu1, gpu2, gpu3" in message
+        schedule = compile_collective("ring", 16, 10_000)
+        with pytest.raises(ValueError, match="host0:leaf9"):
+            simulate_schedule(self.topo(), schedule, faults=(fault,))
+
+    def test_unknown_node_refused(self):
+        fault = LinkFault("nosuch", "leaf9")
+        with pytest.raises(ValueError, match="no node 'nosuch'"):
+            run_collective(self.topo(), "ring", 10_000, faults=(fault,))
+
+    def test_either_direction_names_the_cable(self):
+        up = run_collective(self.topo(), "ring", 10_000,
+                            faults=(LinkFault("host1", "leaf0"),))
+        down = run_collective(self.topo(), "ring", 10_000,
+                              faults=(LinkFault("leaf0", "host1"),))
+        assert up.occupancies == down.occupancies
+        assert up.survivors == down.survivors != tuple(range(16))
+
+
+class TestEventLoopState:
+    def test_records_are_tuples_with_named_fields(self):
+        result = run_collective(single_node(4), "ring", 10_000)
+        occ = result.occupancies[0]
+        assert isinstance(occ, tuple)
+        assert occ._fields == (
+            "link", "link_class", "transfer", "op", "start_s", "end_s",
+            "nbytes",
+        )
+        assert occ.busy_seconds == occ.end_s - occ.start_s
+
+    def test_re_rated_copy_sees_its_own_wire_times(self):
+        # crossval re-rates a topology with dataclasses.replace: the
+        # copy must not inherit routes that hold the old links
+        from dataclasses import replace
+
+        from repro.fabric import Link, LinkClass
+
+        base = single_node(4)
+        slow = run_collective(base, "ring", 100_000)
+        fast_cls = LinkClass("fast", 1280.0, 2.0e-6)
+        fast = replace(
+            base,
+            links={
+                key: Link(link.src, link.dst, fast_cls)
+                for key, link in base.links.items()
+            },
+        )
+        quick = run_collective(fast, "ring", 100_000)
+        assert {o.link_class for o in quick.occupancies} == {"fast"}
+        assert quick.makespan_seconds < slow.makespan_seconds
+        # and the original still answers with its own links
+        assert run_collective(base, "ring", 100_000) == slow
+
+    def test_survivor_rerun_starts_from_idle_links(self):
+        # the re-run after a partition resumes at the failure time on
+        # fresh links: it is exactly the survivor schedule simulated
+        # alone from that instant
+        topo = leaf_spine(16, gpus_per_host=4, hosts_per_leaf=2,
+                          spines=2)
+        fault = LinkFault("host2", "leaf1", fail_at_s=1e-4)
+        result = run_collective(topo, "ring", 1_000_000, "qsgd4",
+                                faults=(fault,))
+        survivor = compile_collective("ring", 12, 1_000_000, "qsgd4")
+        hops = sum(
+            len(topo.route(result.survivors[t.src],
+                           result.survivors[t.dst], flow=t.lo))
+            for t in survivor.transfers
+        )
+        rerun = result.occupancies[-hops:]
+        resumed_at = rerun[0].start_s
+        assert resumed_at >= 1e-4
+        alone = simulate_schedule(
+            topo, survivor, faults=(fault,), start_time=resumed_at,
+            rank_map=result.survivors,
+        )
+        assert alone.occupancies == rerun
+        assert result.makespan_seconds == (
+            resumed_at + alone.makespan_seconds
+        )
+
+
 class TestSelector:
     def test_small_payload_prefers_low_latency_pattern(self):
         topo = leaf_spine(16, gpus_per_host=4, hosts_per_leaf=2,

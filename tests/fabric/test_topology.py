@@ -151,6 +151,59 @@ class TestFailureRouting:
         )
 
 
+class TestRouteMemo:
+    def topo(self):
+        return leaf_spine(32, gpus_per_host=4, hosts_per_leaf=2,
+                          spines=2)
+
+    def test_memoised_routes_equal_fresh_ones(self):
+        warm, cold = self.topo(), self.topo()
+        dead = frozenset({("leaf0", "spine1"), ("spine1", "leaf0")})
+        for avoid in (frozenset(), dead):
+            for flow in range(5):
+                for dst in (1, 5, 9, 31):
+                    first = warm.route(0, dst, flow=flow, avoid=avoid)
+                    again = warm.route(0, dst, flow=flow, avoid=avoid)
+                    assert again is first
+                    assert first == self.topo().route(
+                        0, dst, flow=flow, avoid=avoid
+                    )
+        # one entry per (pair, avoid), whatever the flow
+        assert len(warm._routes) == 8
+        assert cold._routes == {}
+
+    def test_flow_picks_among_the_live_spines(self):
+        topo = self.topo()
+        spines = {
+            topo.route(0, 31, flow=flow)[2].dst for flow in range(4)
+        }
+        assert spines == {"spine0", "spine1"}
+        dead = frozenset({("leaf0", "spine0")})
+        assert {
+            topo.route(0, 31, flow=flow, avoid=dead)[2].dst
+            for flow in range(4)
+        } == {"spine1"}
+
+    def test_unroutable_pair_is_memoised_as_none(self):
+        topo = self.topo()
+        avoid = frozenset({("host0", "leaf0"), ("leaf0", "host0")})
+        assert topo.route(0, 31, avoid=avoid) is None
+        assert topo._routes[0, 31, avoid] == (3, ())
+        assert topo.route(0, 31, flow=2, avoid=avoid) is None
+
+    def test_bad_rank_raises_every_time(self):
+        topo = self.topo()
+        for _ in range(2):
+            with pytest.raises(ValueError, match="outside world"):
+                topo.route(0, 32)
+        assert topo._routes == {}
+
+    def test_link_key_is_stored(self):
+        link = self.topo().links[("host0", "leaf0")]
+        assert link.key == ("host0", "leaf0")
+        assert "key" in vars(link)
+
+
 class TestMakeTopology:
     def test_every_family_constructs(self):
         for name in TOPOLOGY_NAMES:

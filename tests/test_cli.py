@@ -420,6 +420,30 @@ class TestFabricCommand:
         assert main(["fabric", "--fail-link", "leaf0spine1"]) == 2
         assert "SRC:DST" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "fault, words",
+        [
+            (["--fail-link", "nosuch:leaf9"], "no link nosuch:leaf9"),
+            (["--fail-link", "host0:leaf1"], "host0 connects to"),
+            (
+                ["--fail-link", "host0:leaf0", "--fail-at", "0.001",
+                 "--recover-at", "0.0005"],
+                "not after it fails",
+            ),
+            (["--fail-link", "host0:leaf0", "--fail-at", "-1"], ">= 0"),
+        ],
+    )
+    def test_impossible_fault_is_one_error_line(self, fault, words, capsys):
+        assert main([
+            "fabric", "--ranks", "16", "--topology", "leaf-spine",
+            "--pattern", "ring", "--elements", "10000", *fault,
+        ]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("repro fabric: error: ")
+        assert words in line
+
     def test_recover_at_requires_fail_link(self, capsys):
         assert main(["fabric", "--recover-at", "0.5"]) == 2
         assert "--recover-at requires --fail-link" in (
