@@ -1,10 +1,11 @@
 """Kernel backend registry for the quantization hot path.
 
-The four hottest kernels of the encode/exchange path — bitpack
-pack/unpack, QSGD stochastic encode, QSGD decode, and the fused
-decode-accumulate behind :class:`~repro.quantization.base.
-BucketSumDecoder` — are provided by interchangeable *backends* with
-identical signatures and byte-for-byte identical output:
+The hot kernels of the encode/exchange path — bitpack pack/unpack,
+QSGD stochastic encode, QSGD decode, the fused decode-accumulate
+behind :class:`~repro.quantization.base.BucketSumDecoder`, and the
+1bitSGD encode (sign words plus pos/neg means) and decode(-accumulate)
+— are provided by interchangeable *backends* with identical signatures
+and byte-for-byte identical output:
 
 ``numba``
     ``@njit(cache=True)``-compiled loop kernels (:mod:`._numba`).
@@ -29,8 +30,8 @@ compiled backend is absent.  Callers dispatch per call via
 
 Bit-identity across backends is enforced by
 ``tests/quantization/test_kernels.py`` over the full
-scheme×bits×bucket×shape grid, including the RNG-consuming stochastic
-rounding: the uniform draws are made by the caller with the run's
+scheme×bits×bucket×shape grid and the 1bitSGD group-length × layout
+grid, including the RNG-consuming stochastic rounding: the uniform draws are made by the caller with the run's
 :class:`numpy.random.Generator` and passed *into* the kernels, so
 every backend consumes the identical stream.
 """

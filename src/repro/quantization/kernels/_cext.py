@@ -135,6 +135,13 @@ for _fn in (
 ):
     _fn.argtypes = [_ptr_t, _ptr_t, _i64, _i64, _i64, _i64, _ptr_t]
     _fn.restype = None
+_lib.repro_onebit_encode.argtypes = [
+    _ptr_t, _i64, _i64, _i64, _i64, _i64, _ptr_t, _ptr_t, _ptr_t,
+]
+_lib.repro_onebit_encode.restype = ctypes.c_int
+for _fn in (_lib.repro_onebit_decode, _lib.repro_onebit_decode_acc):
+    _fn.argtypes = [_ptr_t, _ptr_t, _ptr_t, _i64, _i64, _ptr_t, _i64, _i64]
+    _fn.restype = None
 
 #: code width (1..32) -> storage slot width (next divisor of 32)
 _SLOT_FOR_WIDTH = _numpy._SLOT_FOR_WIDTH
@@ -175,6 +182,16 @@ def _u32c(a: np.ndarray) -> bool:
 
 def _f64c(a: np.ndarray) -> bool:
     return a.dtype == np.float64 and a.flags.c_contiguous
+
+
+def _f32_strides(a: np.ndarray) -> tuple[int, int] | None:
+    """Element strides of an aligned 2-D float32 view, else ``None``."""
+    if a.dtype != np.float32 or a.ndim != 2 or not a.flags.aligned:
+        return None
+    gs, es = a.strides
+    if gs % 4 or es % 4:
+        return None
+    return gs // 4, es // 4
 
 
 # -- bucket permutation -------------------------------------------------
@@ -459,3 +476,41 @@ def dequantize_grid(
            _ptr(out))
         return out
     return _numpy.dequantize_grid(codes, scales, bits, out, accumulate, ws)
+
+
+# -- 1bitSGD --------------------------------------------------------------
+#
+# Both kernels address groups through (group, element) strides, so the
+# column-wise codec's transposed matrix views are read and written in
+# place; any other layout or dtype takes the reference.
+
+
+def _onebit_ok(n_groups, group_len, avg_pos, avg_neg, words) -> bool:
+    """Dtypes, layouts and sizes the C kernels index by (else: reference)."""
+    return (
+        _f32c(avg_pos) and _f32c(avg_neg) and _u32c(words)
+        and avg_pos.size == avg_neg.size == n_groups
+        and words.size == n_groups * -(-group_len // 32)
+    )
+
+
+def onebit_encode(groups, valid_count, avg_pos, avg_neg, words, ws):
+    strides = _f32_strides(groups)
+    if strides is None or not _onebit_ok(*groups.shape, avg_pos, avg_neg, words):
+        return _numpy.onebit_encode(groups, valid_count, avg_pos, avg_neg, words, ws)
+    count = groups.size if valid_count is None else valid_count
+    if _lib.repro_onebit_encode(_ptr(groups), *groups.shape, *strides, count,
+                                _ptr(avg_pos), _ptr(avg_neg), _ptr(words)):
+        raise MemoryError("1bit encode: cannot allocate the staging tile")
+    return words
+
+
+def onebit_decode(avg_pos, avg_neg, words, out, accumulate, ws):
+    strides = _f32_strides(out)
+    if strides is None or not (
+        out.flags.writeable and _onebit_ok(*out.shape, avg_pos, avg_neg, words)
+    ):
+        return _numpy.onebit_decode(avg_pos, avg_neg, words, out, accumulate, ws)
+    fn = _lib.repro_onebit_decode_acc if accumulate else _lib.repro_onebit_decode
+    fn(_ptr(avg_pos), _ptr(avg_neg), _ptr(words), *out.shape, _ptr(out), *strides)
+    return out

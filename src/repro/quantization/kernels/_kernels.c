@@ -25,9 +25,27 @@
  *    numpy's pairwise summation order is part of the reference bit
  *    pattern, so the python wrapper computes l2 scales with numpy and
  *    passes them in.  The infinity norm is order-independent.
+ *  - The one exception is 1bitSGD (`repro_onebit_encode`), whose
+ *    pos/neg means *are* a float32 row sum.  It reproduces numpy's
+ *    `FLOAT_pairwise_sum` exactly: a plain loop for n < 8, eight
+ *    accumulators folded ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) plus a
+ *    tail loop for n <= 128, and a recursive split at
+ *    n/2 - (n/2) % 8 above that.  The reduction then adds the sum to
+ *    the `0.0f` the output starts from, and the mean is
+ *    `(float)((double)sum / (double)count)` because numpy divides a
+ *    float32 by an int64 in float64.  (For counts below 2^24 that
+ *    equals the float32 quotient -- double rounding is harmless for
+ *    division at these precisions -- but it is written as numpy does
+ *    it.)  Sums that come out zero become +0.0 through the `0.0f +`,
+ *    which only shows on a group of -0.0s at least 8 long.
+ *    `tests/quantization/test_kernels.py::test_onebit_sums_match_numpy_reduction`
+ *    compares these sums with numpy's own `masked.sum(axis=1)`, so a
+ *    numpy release that changes its reduction fails there, by name.
  */
 
 #include <stdint.h>
+#include <stdlib.h>
+#include <string.h>
 
 /* ------------------------------------------------------------------ */
 /* Bucket permutation: F-order flatten of a C-contiguous matrix        */
@@ -562,4 +580,237 @@ void repro_words_dequant_grid_acc(const uint32_t *restrict words,
                                   float *restrict out)
 {
     WORDS_DEQUANT_GRID_BODY(po[j0 + j] += v, po[j] += 0.0f)
+}
+
+/* ------------------------------------------------------------------ */
+/* 1bitSGD: sign words + pos/neg means, and decode(-accumulate)        */
+/* ------------------------------------------------------------------ */
+
+/* Groups are read and written through a group stride and an element
+ * stride (in floats), so the column-wise layout -- a matrix column
+ * range viewed as `matrix[:, lo:hi].T` -- is handled in place.  When
+ * the elements of a group are strided, ONEBIT_TILE groups at a time
+ * are staged (encode) or written (decode) row by row, so each row of
+ * the matrix is touched as one run of ONEBIT_TILE adjacent floats. */
+#define ONEBIT_TILE 16
+
+/* `v` where `keep`, else +0.0f: a bit mask, so no branch on the sign */
+static inline float onebit_keep(float v, int keep)
+{
+    uint32_t u;
+    memcpy(&u, &v, sizeof u);
+    u &= 0u - (uint32_t)keep;
+    memcpy(&v, &u, sizeof v);
+    return v;
+}
+
+/* Both masked sums of numpy's reference at once: the positive side
+ * sums `v >= 0 ? v : +0`, the negative side `v >= 0 ? +0 : v` (NaN
+ * compares false, so it lands on the negative side), each in
+ * FLOAT_pairwise_sum's order -- see the header comment.  The AVX path
+ * holds the eight accumulators in one register; lane k performs
+ * exactly the adds of r[k]. */
+static void onebit_pairwise(const float *restrict a, int64_t n,
+                            float *sum_pos, float *sum_neg)
+{
+    if (n < 8) {
+        float rp = 0.0f, rn = 0.0f;
+        for (int64_t i = 0; i < n; i++) {
+            const int pos = a[i] >= 0.0f;
+            rp += onebit_keep(a[i], pos);
+            rn += onebit_keep(a[i], !pos);
+        }
+        *sum_pos = rp;
+        *sum_neg = rn;
+    }
+    else if (n <= 128) {
+        float p[8], q[8];
+        int64_t i;
+#if defined(__AVX__)
+        const __m256 zero = _mm256_setzero_ps();
+        __m256 v = _mm256_loadu_ps(a);
+        __m256 m = _mm256_cmp_ps(v, zero, _CMP_GE_OQ);
+        __m256 vp = _mm256_and_ps(m, v);
+        __m256 vq = _mm256_andnot_ps(m, v);
+        for (i = 8; i < n - (n % 8); i += 8) {
+            v = _mm256_loadu_ps(a + i);
+            m = _mm256_cmp_ps(v, zero, _CMP_GE_OQ);
+            vp = _mm256_add_ps(vp, _mm256_and_ps(m, v));
+            vq = _mm256_add_ps(vq, _mm256_andnot_ps(m, v));
+        }
+        _mm256_storeu_ps(p, vp);
+        _mm256_storeu_ps(q, vq);
+#else
+        for (int k = 0; k < 8; k++) {
+            const int pos = a[k] >= 0.0f;
+            p[k] = onebit_keep(a[k], pos);
+            q[k] = onebit_keep(a[k], !pos);
+        }
+        for (i = 8; i < n - (n % 8); i += 8) {
+            for (int k = 0; k < 8; k++) {
+                const int pos = a[i + k] >= 0.0f;
+                p[k] += onebit_keep(a[i + k], pos);
+                q[k] += onebit_keep(a[i + k], !pos);
+            }
+        }
+#endif
+        float rp = ((p[0] + p[1]) + (p[2] + p[3])) +
+                   ((p[4] + p[5]) + (p[6] + p[7]));
+        float rn = ((q[0] + q[1]) + (q[2] + q[3])) +
+                   ((q[4] + q[5]) + (q[6] + q[7]));
+        for (; i < n; i++) {
+            const int pos = a[i] >= 0.0f;
+            rp += onebit_keep(a[i], pos);
+            rn += onebit_keep(a[i], !pos);
+        }
+        *sum_pos = rp;
+        *sum_neg = rn;
+    }
+    else {
+        int64_t n2 = n / 2;
+        n2 -= n2 % 8;
+        float lp, ln, hp, hn;
+        onebit_pairwise(a, n2, &lp, &ln);
+        onebit_pairwise(a + n2, n - n2, &hp, &hn);
+        *sum_pos = lp + hp;
+        *sum_neg = ln + hn;
+    }
+}
+
+/* One group: sign words (bit set for v >= 0, zero past group_len)
+ * into `pw`, then the means over the first `nvalid` elements.  Bucket
+ * padding (elements from `nvalid` on) keeps its sign bit but counts on
+ * neither side; its masked value is the reference's +0, which the sum
+ * reads from `scratch` (`row` itself when the group was staged). */
+static void onebit_encode_group(const float *row, int64_t group_len,
+                                int64_t nvalid, float *scratch,
+                                uint32_t *restrict pw, float *avg_pos,
+                                float *avg_neg)
+{
+    for (int64_t j0 = 0; j0 < group_len; j0 += 32) {
+        const int64_t len = group_len - j0 < 32 ? group_len - j0 : 32;
+        uint32_t acc = 0u;
+        for (int64_t l = 0; l < len; l++)
+            acc |= (uint32_t)(row[j0 + l] >= 0.0f) << l;
+        pw[j0 / 32] = acc;
+    }
+    int64_t count_pos = 0;
+    for (int64_t j = 0; j < nvalid; j++)
+        count_pos += row[j] >= 0.0f;
+    const int64_t count_neg = nvalid - count_pos;
+    if (nvalid < group_len) {
+        if (row != scratch)
+            memcpy(scratch, row, (size_t)nvalid * sizeof(float));
+        for (int64_t j = nvalid; j < group_len; j++)
+            scratch[j] = 0.0f;
+        row = scratch;
+    }
+    float sp, sn;
+    onebit_pairwise(row, group_len, &sp, &sn);
+    sp = 0.0f + sp;
+    sn = 0.0f + sn;
+    *avg_pos = count_pos ? (float)((double)sp / (double)count_pos) : 0.0f;
+    *avg_neg = count_neg ? (float)((double)sn / (double)count_neg) : 0.0f;
+}
+
+/* avg_pos / avg_neg / sign words of `n_groups` groups of `group_len`
+ * floats, element (g, j) at groups[g * gstride + j * estride]; only
+ * the first `valid_count` elements in (g, j) row-major order count
+ * towards the means.  Returns -1 if the tile cannot be allocated. */
+int repro_onebit_encode(const float *restrict groups, int64_t n_groups,
+                        int64_t group_len, int64_t gstride, int64_t estride,
+                        int64_t valid_count, float *restrict avg_pos,
+                        float *restrict avg_neg, uint32_t *restrict words)
+{
+    const int64_t wpg = (group_len + 31) / 32;
+    const int staged = estride != 1;
+    float *tile = malloc(
+        (size_t)(staged ? ONEBIT_TILE : 1) * (size_t)group_len * sizeof(float)
+        + sizeof(float));
+    if (tile == NULL)
+        return -1;
+    for (int64_t g0 = 0; g0 < n_groups; g0 += ONEBIT_TILE) {
+        const int64_t kn =
+            n_groups - g0 < ONEBIT_TILE ? n_groups - g0 : ONEBIT_TILE;
+        const float *src = groups + g0 * gstride;
+        if (staged)
+            for (int64_t j = 0; j < group_len; j++)
+                for (int64_t k = 0; k < kn; k++)
+                    tile[k * group_len + j] = src[k * gstride + j * estride];
+        for (int64_t k = 0; k < kn; k++) {
+            const int64_t g = g0 + k;
+            int64_t nvalid = valid_count - g * group_len;
+            nvalid = nvalid < 0 ? 0 : nvalid > group_len ? group_len : nvalid;
+            float *row = staged ? tile + k * group_len : tile;
+            onebit_encode_group(staged ? row : src + k * gstride, group_len,
+                                nvalid, row, words + g * wpg, avg_pos + g,
+                                avg_neg + g);
+        }
+    }
+    free(tile);
+    return 0;
+}
+
+/* out[g * gstride + j * estride] (=|+=) bit(g, j) ? avg_pos[g] :
+ * avg_neg[g] -- a selection, so the set form stores the reference's
+ * floats as they are and the accumulate form is one float32 add.
+ * Groups with strided elements are written ONEBIT_TILE at a time, row
+ * by row, each of a group's sign words serving 32 rows. */
+#define ONEBIT_DECODE_BODY(STORE)                                      \
+    const int64_t wpg = (group_len + 31) / 32;                         \
+    if (estride == 1) {                                                \
+        for (int64_t g = 0; g < n_groups; g++) {                       \
+            const float ap = avg_pos[g], an = avg_neg[g];              \
+            const uint32_t *pw = words + g * wpg;                      \
+            float *po = out + g * gstride;                             \
+            for (int64_t j = 0; j < group_len; j++) {                  \
+                const float v = (pw[j >> 5] >> (j & 31)) & 1u ? ap : an; \
+                STORE(po[j]);                                          \
+            }                                                          \
+        }                                                              \
+        return;                                                        \
+    }                                                                  \
+    for (int64_t g0 = 0; g0 < n_groups; g0 += ONEBIT_TILE) {           \
+        const int64_t kn =                                             \
+            n_groups - g0 < ONEBIT_TILE ? n_groups - g0 : ONEBIT_TILE; \
+        float ap[ONEBIT_TILE], an[ONEBIT_TILE];                        \
+        uint32_t cur[ONEBIT_TILE];                                     \
+        for (int64_t k = 0; k < kn; k++) {                             \
+            ap[k] = avg_pos[g0 + k];                                   \
+            an[k] = avg_neg[g0 + k];                                   \
+        }                                                              \
+        float *base = out + g0 * gstride;                              \
+        for (int64_t j = 0; j < group_len; j++) {                      \
+            const uint32_t sh = (uint32_t)(j & 31);                    \
+            if (sh == 0)                                               \
+                for (int64_t k = 0; k < kn; k++)                       \
+                    cur[k] = words[(g0 + k) * wpg + (j >> 5)];         \
+            float *po = base + j * estride;                            \
+            for (int64_t k = 0; k < kn; k++) {                         \
+                const float v = (cur[k] >> sh) & 1u ? ap[k] : an[k];   \
+                STORE(po[k * gstride]);                                \
+            }                                                          \
+        }                                                              \
+    }
+
+#define ONEBIT_SET(x) x = v
+#define ONEBIT_ADD(x) x += v
+
+void repro_onebit_decode(const float *restrict avg_pos,
+                         const float *restrict avg_neg,
+                         const uint32_t *restrict words, int64_t n_groups,
+                         int64_t group_len, float *restrict out,
+                         int64_t gstride, int64_t estride)
+{
+    ONEBIT_DECODE_BODY(ONEBIT_SET)
+}
+
+void repro_onebit_decode_acc(const float *restrict avg_pos,
+                             const float *restrict avg_neg,
+                             const uint32_t *restrict words,
+                             int64_t n_groups, int64_t group_len,
+                             float *restrict out, int64_t gstride,
+                             int64_t estride)
+{
+    ONEBIT_DECODE_BODY(ONEBIT_ADD)
 }

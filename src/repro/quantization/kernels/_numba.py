@@ -205,6 +205,11 @@ def dequantize_grid_packed(
     )
 
 
+# 1bitSGD has no loop kernel here: both entry points are the reference
+onebit_encode = _numpy.onebit_encode
+onebit_decode = _numpy.onebit_decode
+
+
 def dequantize_sign(
     codes: np.ndarray,
     scales: np.ndarray,

@@ -3,9 +3,10 @@
 This module *is* the specification: every other backend must reproduce
 its output byte-for-byte, including float32 rounding and signed zeros.
 The implementations are the vectorized op sequences that previously
-lived inline in :mod:`repro.quantization.bitpack` and
-:mod:`repro.quantization.qsgd`; moving them here (unchanged) lets the
-compiled backends be validated against a single reference.
+lived inline in :mod:`repro.quantization.bitpack`,
+:mod:`repro.quantization.qsgd` and :mod:`repro.quantization.onebit`;
+moving them here (unchanged) lets the compiled backends be validated
+against a single reference.
 
 Two arithmetic-order rules every port must follow:
 
@@ -22,7 +23,10 @@ l2-norm bucket scales are deliberately *not* part of the backend
 interface: numpy's pairwise summation order is part of the reference
 bit pattern, so :mod:`repro.quantization.qsgd` computes l2 scales with
 numpy for every backend.  The infinity norm is order-independent and
-is implemented by each backend.
+is implemented by each backend.  The 1bitSGD means are the exception:
+the C backend reproduces numpy's float32 pairwise row sum (see the
+header of ``_kernels.c``), pinned against numpy's own reduction by
+``tests/quantization/test_kernels.py``.
 """
 
 from __future__ import annotations
@@ -376,6 +380,86 @@ def dequantize_grid(
     zero = _scratch(ws, "qsgd.dec.zeromask", scales.shape, bool)
     np.equal(scales, 0.0, out=zero)
     values[zero, :] = 0.0
+    if accumulate:
+        np.add(out, values, out=out)
+    return out
+
+
+# -- 1bitSGD: sign bits + pos/neg means, and their decode ---------------
+#
+# The op sequence below is the one `onebit.py` ran inline; the caller
+# owns the message layout and passes the three output arrays in.  Each
+# group's sign bits occupy a whole number of 32-bit words, so the bit
+# plane is padded to ``padded_len`` lanes per group before packing.
+
+
+def _masked_row_means(groups, select, means, ws, tag):
+    """``means[g]`` = mean of ``groups[g]`` over ``select`` (0 if empty)."""
+    n_groups = groups.shape[0]
+    masked = _scratch(ws, "1bit.masked", groups.shape)
+    masked.fill(0.0)
+    np.copyto(masked, groups, where=select)
+    sums = _scratch(ws, f"1bit.{tag}.sum", n_groups)
+    masked.sum(axis=1, out=sums)
+    counts = _scratch(ws, f"1bit.{tag}.count", n_groups, np.int64)
+    select.sum(axis=1, out=counts)
+    nonempty = _scratch(ws, f"1bit.{tag}.nonempty", n_groups, bool)
+    np.greater(counts, 0, out=nonempty)
+    means.fill(0.0)
+    np.divide(sums, counts, out=means, where=nonempty)
+    return means
+
+
+def onebit_encode(groups, valid_count, avg_pos, avg_neg, words, ws):
+    """1bitSGD encode of the ``(n_groups, group_len)`` view ``groups``.
+
+    Fills ``avg_pos`` / ``avg_neg`` (per-group means of the entries
+    ``>= 0`` and ``< 0``) and ``words`` (one sign bit per entry, set for
+    ``>= 0``, group-major).  Only the first ``valid_count`` entries in
+    row-major order count towards the means (``None``: all of them).
+    """
+    n_groups, group_len = groups.shape
+    positive = _scratch(ws, "1bit.positive", groups.shape, bool)
+    np.greater_equal(groups, 0.0, out=positive)
+    full = valid_count is None or valid_count >= n_groups * group_len
+    if full:
+        pos_valid = positive
+        neg_valid = _scratch(ws, "1bit.negvalid", groups.shape, bool)
+        np.logical_not(positive, out=neg_valid)
+    else:
+        # zero-padded bucket matrix: exclude padding from the averages
+        valid = _scratch(ws, "1bit.valid", groups.shape, bool)
+        vflat = valid.reshape(-1)
+        vflat[:valid_count] = True
+        vflat[valid_count:] = False
+        pos_valid = _scratch(ws, "1bit.posvalid", groups.shape, bool)
+        np.logical_and(positive, valid, out=pos_valid)
+        neg_valid = _scratch(ws, "1bit.negvalid", groups.shape, bool)
+        np.logical_not(positive, out=neg_valid)
+        np.logical_and(neg_valid, valid, out=neg_valid)
+    _masked_row_means(groups, pos_valid, avg_pos, ws, "pos")
+    _masked_row_means(groups, neg_valid, avg_neg, ws, "neg")
+
+    padded_len = -(-group_len // _WORD_BITS) * _WORD_BITS
+    padded = _scratch(ws, "1bit.padded", (n_groups, padded_len), np.uint32)
+    padded[:, :group_len] = positive
+    padded[:, group_len:] = 0
+    return pack(padded.reshape(-1), 1, words, ws)
+
+
+def onebit_decode(avg_pos, avg_neg, words, out, accumulate, ws):
+    """``bit ? avg_pos : avg_neg`` per entry into the ``(n_groups,
+    group_len)`` view ``out``; with ``accumulate``, added to it."""
+    n_groups, group_len = out.shape
+    padded_len = -(-group_len // _WORD_BITS) * _WORD_BITS
+    bits = unpack(words, n_groups * padded_len, 1, ws)
+    sign_bits = bits.reshape(n_groups, padded_len)[:, :group_len]
+    positive = _scratch(ws, "1bit.dec.positive", out.shape, bool)
+    np.not_equal(sign_bits, 0, out=positive)
+    values = _scratch(ws, "1bit.dec.values", out.shape) if accumulate else out
+    values[...] = avg_neg[:, None]
+    np.copyto(values, np.broadcast_to(avg_pos[:, None], values.shape),
+              where=positive)
     if accumulate:
         np.add(out, values, out=out)
     return out

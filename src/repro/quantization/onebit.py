@@ -16,8 +16,11 @@ reshaping (Section 3.2.2, "Reshaped 1bitSGD").
 1bitSGD is biased, so it must run under :class:`~repro.quantization.base.
 ErrorFeedback`; ``requires_error_feedback`` is set accordingly.
 
-The ``*_into`` forms draw every intermediate (sign planes, masked
-sums, packed words, reconstruction scratch) from an
+The arithmetic lives in the kernel backends
+(:mod:`repro.quantization.kernels`: ``onebit_encode`` /
+``onebit_decode``, numpy reference plus a compiled C pass); this module
+owns the group geometry and the message layout.  The ``*_into`` forms
+draw their outputs (and any backend scratch) from an
 :class:`~repro.quantization.workspace.EncodeWorkspace`, so the hot
 path performs no per-call allocations; the plain forms are thin
 wrappers over them.
@@ -29,38 +32,11 @@ import math
 
 import numpy as np
 
-from . import bitpack
+from . import bitpack, kernels
 from .base import EncodedTensor, Quantizer
 from .workspace import EncodeWorkspace
 
 __all__ = ["OneBitSgd", "encode_groups", "decode_groups"]
-
-
-def _padded_length(group_len: int) -> int:
-    """Group length rounded up to a whole number of 32-bit words."""
-    return bitpack.packed_words(group_len, 1) * 32
-
-
-def _masked_row_means(
-    groups: np.ndarray,
-    select: np.ndarray,
-    ws: EncodeWorkspace,
-    tag: str,
-) -> np.ndarray:
-    """Mean of ``groups`` over ``select`` per row (0 for empty rows)."""
-    n_groups = groups.shape[0]
-    masked = ws.array("1bit.masked", groups.shape)
-    masked.fill(0.0)
-    np.copyto(masked, groups, where=select)
-    sums = ws.array(f"1bit.{tag}.sum", n_groups)
-    masked.sum(axis=1, out=sums)
-    counts = ws.array(f"1bit.{tag}.count", n_groups, np.int64)
-    select.sum(axis=1, out=counts)
-    nonempty = ws.array(f"1bit.{tag}.nonempty", n_groups, bool)
-    np.greater(counts, 0, out=nonempty)
-    means = ws.zeros(f"1bit.{tag}.avg", n_groups)
-    np.divide(sums, counts, out=means, where=nonempty)
-    return means
 
 
 def encode_groups_into(
@@ -72,45 +48,21 @@ def encode_groups_into(
 
     Workspace form of :func:`encode_groups`: all three returned arrays
     (and every intermediate) live in the arena when one is provided,
-    valid until the next encode on the same workspace.
+    valid until the next encode on the same workspace.  ``groups`` may
+    be any strided view (the column-wise codec passes a transpose).
     """
     ws = workspace if workspace is not None else EncodeWorkspace()
     groups = np.asarray(groups)
     if groups.ndim != 2:
         raise ValueError(f"groups must be 2-D, got shape {groups.shape}")
     n_groups, group_len = groups.shape
-
-    positive = ws.array("1bit.positive", groups.shape, bool)
-    np.greater_equal(groups, 0.0, out=positive)
-    full = valid_count is None or valid_count >= n_groups * group_len
-    if full:
-        pos_valid = positive
-        neg_valid = ws.array("1bit.negvalid", groups.shape, bool)
-        np.logical_not(positive, out=neg_valid)
-    else:
-        # zero-padded bucket matrix: exclude padding from the averages
-        valid = ws.array("1bit.valid", groups.shape, bool)
-        vflat = valid.reshape(-1)
-        vflat[:valid_count] = True
-        vflat[valid_count:] = False
-        pos_valid = ws.array("1bit.posvalid", groups.shape, bool)
-        np.logical_and(positive, valid, out=pos_valid)
-        neg_valid = ws.array("1bit.negvalid", groups.shape, bool)
-        np.logical_not(positive, out=neg_valid)
-        np.logical_and(neg_valid, valid, out=neg_valid)
-    avg_pos = _masked_row_means(groups, pos_valid, ws, "pos")
-    avg_neg = _masked_row_means(groups, neg_valid, ws, "neg")
-
-    padded_len = _padded_length(group_len)
-    padded = ws.array("1bit.padded", (n_groups, padded_len), np.uint32)
-    padded[:, :group_len] = positive
-    padded[:, group_len:] = 0
+    avg_pos = ws.array("1bit.pos.avg", n_groups)
+    avg_neg = ws.array("1bit.neg.avg", n_groups)
     words = ws.array(
-        "1bit.words", bitpack.packed_words(n_groups * padded_len, 1),
-        np.uint32,
+        "1bit.words", n_groups * bitpack.packed_words(group_len, 1), np.uint32
     )
-    bitpack.pack_into(
-        padded.reshape(-1), 1, words, workspace=ws, check=False
+    kernels.active().onebit_encode(
+        groups, valid_count, avg_pos, avg_neg, words, ws
     )
     return avg_pos, avg_neg, words
 
@@ -134,6 +86,20 @@ def encode_groups(
     return encode_groups_into(groups, valid_count)
 
 
+def _decode_into(avg_pos, avg_neg, words, out, accumulate, ws):
+    """Decode into the ``(n_groups, group_len)`` view ``out``."""
+    n_groups, group_len = out.shape
+    expected = n_groups * bitpack.packed_words(group_len, 1)
+    if words.shape != (expected,):
+        raise ValueError(
+            f"expected {expected} words for {n_groups} groups of "
+            f"{group_len} sign bits, got shape {words.shape}"
+        )
+    return kernels.active().onebit_decode(
+        avg_pos, avg_neg, words, out, accumulate, ws
+    )
+
+
 def decode_groups_into(
     avg_pos: np.ndarray,
     avg_neg: np.ndarray,
@@ -147,19 +113,8 @@ def decode_groups_into(
     arena (valid until the next decode on the same workspace).
     """
     ws = workspace if workspace is not None else EncodeWorkspace()
-    n_groups = avg_pos.shape[0]
-    padded_len = _padded_length(group_len)
-    bits = bitpack.unpack_into(
-        words, n_groups * padded_len, width=1, workspace=ws
-    )
-    sign_bits = bits.reshape(n_groups, padded_len)[:, :group_len]
-    positive = ws.array("1bit.dec.positive", (n_groups, group_len), bool)
-    np.not_equal(sign_bits, 0, out=positive)
-    values = ws.array("1bit.dec.values", (n_groups, group_len))
-    values[...] = avg_neg[:, None]
-    np.copyto(values, np.broadcast_to(avg_pos[:, None], values.shape),
-              where=positive)
-    return values
+    values = ws.array("1bit.dec.values", (avg_pos.shape[0], group_len))
+    return _decode_into(avg_pos, avg_neg, words, values, False, ws)
 
 
 def decode_groups(
@@ -230,21 +185,26 @@ class OneBitSgd(Quantizer):
         rows = int(message.meta["rows"])
         if out.size == 0:
             return out
-        columns = decode_groups_into(
-            message.payload["avg_pos"],
-            message.payload["avg_neg"],
-            message.payload["words"],
-            group_len=rows,
-            workspace=workspace,
-        )
-        if out.ndim == 2 and out.shape[0] == rows:
-            target = out  # strided 2-D views are written in place
+        ws = workspace if workspace is not None else EncodeWorkspace()
+        cols = out.size // rows
+        if out.ndim == 2 and out.shape == (rows, cols):
+            matrix = out  # strided 2-D views are written in place
+        elif out.flags.c_contiguous:
+            matrix = out.reshape(rows, cols)
         else:
-            target = out.reshape(rows, -1)
-        if accumulate:
-            target += columns.T
-        else:
-            target[...] = columns.T
+            # trailing axes that cannot merge without a copy: decode
+            # into scratch, then write the result back through `out`
+            scratch = ws.array("1bit.dec.out", (rows, cols))
+            self.decode_into(message, scratch, workspace=ws)
+            if accumulate:
+                out += scratch.reshape(out.shape)
+            else:
+                out[...] = scratch.reshape(out.shape)
+            return out
+        p = message.payload
+        # groups are the matrix columns
+        _decode_into(p["avg_pos"], p["avg_neg"], p["words"], matrix.T,
+                     accumulate, ws)
         return out
 
     def group_count(self, shape: tuple[int, ...]) -> int:

@@ -24,9 +24,12 @@ generator state), and the whole collective — shared quantization RNG,
 error-feedback residuals, exchange state — stays on the coordinator,
 which runs the unmodified ``SynchronousStep`` bucket walk over the
 arena views in the same fixed order.  Workers therefore ship *raw*
-gradients through the arena and the coordinator encodes; encoding in
-the workers would need per-rank quantization RNG streams, which is a
-different (non-bit-identical) trajectory by construction.
+gradients through the arena and the coordinator encodes.  For the
+stochastic codecs (QSGD, TernGrad) encoding in the workers would need
+per-rank quantization RNG streams, which is a different
+(non-bit-identical) trajectory by construction; 1bitSGD and Dettmers-8
+draw nothing, so for them rank-side encoding would only have to move
+the error-feedback residuals.
 
 The coordinator keeps its local "shadow" workers: after every
 committed step it loads the rank subtree each worker reported with its

@@ -6,8 +6,9 @@ scale vectors, decoded tensors, fused accumulations — is identical to
 the pure-numpy reference, including the stochastic-rounding decisions
 (the uniform draws are made by the caller and passed in, so all
 backends consume the same RNG stream).  These tests enforce that
-contract over the full scheme×bits×bucket×shape grid against whichever
-compiled backends load in this environment, exercise the uncompiled
+contract over the full scheme×bits×bucket×shape grid (and the 1bitSGD
+group-length × layout grid) against whichever compiled backends load
+in this environment, exercise the uncompiled
 ``_impls`` loop kernels (the numba source) directly so the arithmetic
 is validated even where numba is not installed, and pin the selection
 rules of the registry itself.
@@ -16,10 +17,14 @@ rules of the registry itself.
 import numpy as np
 import pytest
 
-from repro.quantization import bitpack, kernels
+from repro.core import ParallelTrainer, TrainingConfig
+from repro.data import make_image_dataset
+from repro.models import tiny_alexnet
+from repro.quantization import OneBitSgd, bitpack, kernels
 from repro.quantization.base import EncodedTensor
 from repro.quantization.kernels import _impls
 from repro.quantization.kernels import _numpy as ref_backend
+from repro.quantization.onebit import decode_groups_into, encode_groups_into
 from repro.quantization.qsgd import Qsgd
 from repro.quantization.workspace import EncodeWorkspace
 
@@ -226,6 +231,178 @@ def test_fused_packed_kernels_match_composition(backend, variant, bucket_size):
                     words, scales, bits, acc, True, ws
                 )
         assert _bits_equal(acc, want_acc)
+
+
+# -- 1bitSGD -------------------------------------------------------------
+
+#: crosses numpy's pairwise thresholds (8 and 128, then the recursive
+#: split) and the 32-bit word boundaries of the sign plane
+ONEBIT_GROUP_LENGTHS = (
+    list(range(1, 10)) + [15, 16, 17, 31, 32, 33, 127, 128, 129]
+    + [255, 256, 257, 512] + list(range(1000, 1101))
+)
+
+
+def _onebit_groups(group_len, n_groups, seed):
+    """Groups with +-0.0, NaN, +-inf and all-zero groups mixed in."""
+    rng = np.random.default_rng(seed)
+    groups = rng.normal(size=(n_groups, group_len)).astype(np.float32)
+    specials = np.array(
+        [0.0, -0.0, np.nan, np.inf, -np.inf], dtype=np.float32
+    )
+    hit = rng.random(groups.shape) < 0.05
+    groups[hit] = rng.choice(specials, size=int(hit.sum()))
+    groups[1] = rng.choice(specials[:2], size=group_len)  # all-zero group
+    groups[2][rng.random(group_len) < 0.5] = -0.0
+    # an all -0.0 group sums to -0.0 pairwise; the reduction's initial
+    # +0.0 turns that into +0.0 before the division
+    groups[3] = -0.0
+    return groups
+
+
+def _onebit_run(backend, groups, valid_count, target):
+    """Encode, decode (set) and decode onto a non-zero ``target`` view."""
+    with kernels.use_backend(backend):
+        ws = EncodeWorkspace()
+        avg_pos, avg_neg, words = (
+            a.copy() for a in encode_groups_into(groups, valid_count, ws)
+        )
+        values = decode_groups_into(
+            avg_pos, avg_neg, words, groups.shape[1], ws
+        ).copy()
+        target[...] = np.arange(target.size).reshape(target.shape) - 7.5
+        kernels.active().onebit_decode(avg_pos, avg_neg, words, target,
+                                       True, ws)
+    return avg_pos, avg_neg, words, values, target.copy()
+
+
+def _assert_onebit_equal(backend, groups, valid_count, make_target, case):
+    got = _onebit_run(backend, groups, valid_count, make_target())
+    want = _onebit_run("numpy", groups, valid_count, make_target())
+    for name, a, b in zip(("avg_pos", "avg_neg", "words", "decode",
+                           "accumulate"), got, want):
+        assert _bits_equal(a, b), (case, name)
+
+
+@pytest.mark.parametrize("backend", COMPILED)
+@pytest.mark.parametrize("group_len", ONEBIT_GROUP_LENGTHS)
+def test_onebit_bit_identity(backend, group_len):
+    """Means, words, decode and decode-accumulate match numpy bitwise.
+
+    Contiguous groups (the reshaped codec's buckets), column slices
+    ``m[:, lo:hi].T`` of a wider matrix (the column-wise codec under
+    the mpi exchange, decoded back into the matching column slice),
+    and zero-padded buckets whose tail counts on neither side.
+    """
+    groups = _onebit_groups(group_len, 5, seed=group_len)
+    _assert_onebit_equal(
+        backend, groups, None,
+        lambda: np.empty(groups.shape, np.float32), "contiguous",
+    )
+
+    matrix = _onebit_groups(group_len, 40, seed=group_len + 1).T.copy()
+    columns = matrix[:, 7:30].T
+    _assert_onebit_equal(
+        backend, columns, None,
+        lambda: np.empty((group_len, 40), np.float32)[:, 7:30].T,
+        "column slice",
+    )
+
+    for short in {0, 1, group_len - 1, group_len + 3}:
+        valid = max(0, groups.size - short)
+        padded = groups.copy()
+        padded.reshape(-1)[valid:] = 0.0
+        _assert_onebit_equal(
+            backend, padded, valid,
+            lambda: np.empty(groups.shape, np.float32), f"valid {valid}",
+        )
+
+
+@pytest.mark.parametrize("backend", COMPILED)
+@pytest.mark.parametrize("side", ["pos", "neg"])
+def test_onebit_sums_match_numpy_reduction(backend, side):
+    """The compiled masked sums equal numpy's own ``masked.sum(axis=1)``.
+
+    With a power-of-two count on one side the float64 division is exact
+    and so is the rescale, so ``mean * count`` *is* that side's float32
+    sum.  This compares against numpy's reduction itself, not a port of
+    it: a numpy release that sums rows in another order fails here.
+    """
+    rng = np.random.default_rng(5)
+    for group_len in ONEBIT_GROUP_LENGTHS:
+        count = 1 << (group_len.bit_length() - 1)
+        mags = rng.uniform(0.5, 2.0, size=(3, group_len)).astype(np.float32)
+        signs = np.where(np.arange(group_len) < count, 1.0, -1.0)
+        if side == "neg":
+            signs = -signs
+        groups = (mags * rng.permuted(np.tile(signs, (3, 1)), axis=1)).astype(
+            np.float32
+        )
+        keep = groups >= 0 if side == "pos" else groups < 0
+        masked = np.where(keep, groups, np.float32(0.0))
+        want = masked.sum(axis=1)
+
+        with kernels.use_backend(backend):
+            avg_pos, avg_neg, _ = encode_groups_into(groups)
+        mean = avg_pos if side == "pos" else avg_neg
+        got = mean * np.float32(count)
+        assert np.array_equal(got.view(np.uint32), want.view(np.uint32)), (
+            group_len
+        )
+
+
+@pytest.mark.parametrize("backend", COMPILED)
+def test_onebit_ineligible_inputs_take_the_reference(backend):
+    """float64 groups and unaligned views fall back, bit-identically."""
+    groups = _onebit_groups(40, 6, seed=3)
+    raw = np.zeros(groups.size * 4 + 1, np.uint8)
+    unaligned = raw[1:].view(np.float32).reshape(groups.shape)
+    unaligned[...] = groups
+    for case in (groups.astype(np.float64), unaligned):
+        _assert_onebit_equal(
+            backend, case, None,
+            lambda: np.empty(groups.shape, np.float32), str(case.dtype),
+        )
+
+
+@pytest.mark.parametrize("backend", COMPILED)
+def test_onebit_mpi_training_digest_matches_reference(backend):
+    """1bit x mpi x K=2, three steps: equal history digests per backend."""
+    data = make_image_dataset(
+        num_classes=4, train_samples=48, test_samples=16, image_size=8,
+        noise=0.8, seed=0,
+    )
+
+    def digest(name):
+        config = TrainingConfig(
+            scheme="1bit", exchange="mpi", world_size=2, batch_size=16,
+            lr=0.05, seed=3, engine="sequential",
+        )
+        model = tiny_alexnet(num_classes=4, image_size=8, seed=1)
+        with kernels.use_backend(name):
+            history = ParallelTrainer(model, config).fit(
+                data.train_x, data.train_y, data.test_x, data.test_y,
+                epochs=1,
+            )
+        return history.digest()
+
+    assert digest(backend) == digest("numpy")
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("field", ["words", "avg_pos", "avg_neg"])
+def test_onebit_decode_rejects_short_payload(backend, field):
+    """A payload array one entry short raises; no kernel reads past it."""
+    codec = OneBitSgd()
+    message = codec.encode(_gradient((40, 6), seed=3))
+    bad = EncodedTensor(
+        scheme=message.scheme,
+        shape=message.shape,
+        payload={**message.payload, field: message.payload[field][:-1]},
+        meta=message.meta,
+    )
+    with kernels.use_backend(backend), pytest.raises(ValueError):
+        codec.decode(bad)
 
 
 def test_qsgd_decode_rejects_wrong_word_count():

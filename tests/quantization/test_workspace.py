@@ -10,7 +10,8 @@ These tests pin that contract for every scheme in the package.
 import numpy as np
 import pytest
 
-from repro.quantization import EncodeWorkspace, make_quantizer
+from repro.comm import make_exchange
+from repro.quantization import EncodeWorkspace, kernels, make_quantizer
 
 ALL_SCHEMES = [
     "32bit",
@@ -184,3 +185,36 @@ def test_steady_state_performs_no_new_arena_allocations(scheme):
         round_trip(seed)
     assert ws.misses == misses, "hot path allocated after warmup"
     assert ws.hits > 0
+
+
+#: the only 1bit arena entries the compiled path keeps: the message
+#: itself.  Every other ``1bit.*`` tag (masked copies, sign planes,
+#: padded lanes, sums, counts) is reference-path scratch.
+ONEBIT_MESSAGE_TAGS = {"1bit.pos.avg", "1bit.neg.avg", "1bit.words"}
+
+
+@pytest.mark.skipif(
+    "cext" not in kernels.available_backends(), reason="no C compiler"
+)
+def test_cext_onebit_mpi_step_allocates_nothing_after_warmup():
+    """1bit x mpi on the C kernels: no arena misses, no reference scratch."""
+    exchange = make_exchange("mpi", 2)
+    codec = make_quantizer("1bit")
+    ws = EncodeWorkspace()
+    shapes = [(64, 30), (8, 3, 3, 3), (30,)]
+
+    def step(seed):
+        rng = np.random.default_rng(seed)
+        for i, shape in enumerate(shapes):
+            tensors = [_grad(shape, seed=seed + r) for r in range(2)]
+            exchange.exchange(f"w{i}", tensors, codec, rng, workspace=ws)
+
+    with kernels.use_backend("cext"):
+        step(0)
+        misses = ws.misses
+        for seed in range(1, 4):
+            step(seed)
+    assert ws.misses == misses, "hot path allocated after warmup"
+    tags = {key[0] for key in ws._buffers if isinstance(key[0], str)}
+    assert {t for t in tags if t.startswith("1bit.")} <= ONEBIT_MESSAGE_TAGS
+    assert not {t for t in tags if t.startswith("bitpack.")}
