@@ -48,7 +48,7 @@ from .core import (
 from .core.runspec import add_run_arguments, argparse_type
 from .fabric import PATTERN_NAMES, TOPOLOGY_NAMES
 from .models.specs import NETWORKS
-from .quantization import validate_scheme
+from .quantization import kernels, validate_scheme
 from .runtime import ENGINE_NAMES
 from .serve.queue import QUEUE_NAMES
 from .serve.scheduler import SCHEDULER_NAMES
@@ -121,6 +121,7 @@ def _report_run(config: TrainingConfig, history) -> int:
 
 def _cmd_train(args: argparse.Namespace) -> int:
     try:
+        kernels.active()
         spec = RunSpec.from_flat(vars(args), "train")
         policy = (
             None if args.checkpoint_dir is None
@@ -145,6 +146,7 @@ def _cmd_resume(args: argparse.Namespace) -> int:
             return 2
         path = found
     try:
+        kernels.active()
         ckpt = TrainingCheckpoint.load(path)
         spec = RunSpec.from_checkpoint(
             ckpt, keep_faults=args.keep_faults, engine=args.engine,
@@ -171,6 +173,7 @@ def _cmd_resume(args: argparse.Namespace) -> int:
 def _cmd_trace(args: argparse.Namespace) -> int:
     tracer = Tracer()
     try:
+        kernels.active()
         spec = RunSpec.from_flat(vars(args), "trace", tracer=tracer)
     except ValueError as exc:
         print(f"repro trace: error: {exc}", file=sys.stderr)
@@ -373,6 +376,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from .serve import ServeDaemon
 
     try:
+        # runners load the backend; refuse a name they would die on
+        kernels.requested_backend()
         daemon = ServeDaemon(
             args.root,
             max_ranks=args.max_ranks,

@@ -32,13 +32,10 @@ class AllToAllBroadcast(GradientExchange):
         workspace: EncodeWorkspace | None = None,
     ) -> ExchangeResult:
         shape = self._check_inputs(tensors)
-        ws = workspace
-        need_local = ws is None or codec.requires_error_feedback
+        ws = workspace if workspace is not None else EncodeWorkspace()
+        need_local = codec.requires_error_feedback
         if need_local:
-            if ws is None:
-                aggregate = np.zeros(shape, dtype=np.float32)
-            else:
-                aggregate = ws.zeros("a2a.agg", shape)
+            aggregate = ws.zeros("a2a.agg", shape)
             decoder = None
         else:
             # fused decode-accumulate: same rank-order summation as the
@@ -56,11 +53,8 @@ class AllToAllBroadcast(GradientExchange):
                 self.traffic.record(rank, peer, message.nbytes, tag=key)
             if need_local:
                 with tracer.span("decode", rank):
-                    if ws is None:
-                        decoded = codec.decode(message)
-                    else:
-                        decoded = ws.array(("a2a.dl", rank), shape)
-                        codec.decode_into(message, decoded, workspace=ws)
+                    decoded = ws.array(("a2a.dl", rank), shape)
+                    codec.decode_into(message, decoded, workspace=ws)
                     decoded_local.append(decoded)
                     aggregate += decoded
             else:

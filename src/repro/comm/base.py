@@ -29,17 +29,16 @@ class ExchangeResult:
 
     Attributes:
         aggregate: the summed gradient, identical at every rank (the
-            synchronous-SGD invariant; tests assert it).  When the
-            exchange ran with a workspace, this array aliases an arena
-            buffer and is valid until the next exchange on the same
-            workspace — consume (or copy) it before then.
+            synchronous-SGD invariant; tests assert it).  This array
+            aliases a workspace arena buffer and is valid until the
+            next exchange on the same workspace — consume (or copy) it
+            before then.
         decoded_local: per rank, what that rank's own contribution
             looked like after its quantization round-trip.  The trainer
             uses this to update error-feedback residuals.  ``None``
-            when the exchange ran with a workspace and the codec does
-            not require error feedback: the round-trip images are then
-            folded straight into the aggregate (fused decode-
-            accumulate) and never materialized.
+            when the codec does not require error feedback and the
+            round-trip images were folded straight into the aggregate
+            (fused decode-accumulate) instead of materialized.
     """
 
     aggregate: np.ndarray
@@ -100,15 +99,14 @@ class GradientExchange(abc.ABC):
             tensors: one gradient per rank, all of identical shape.
             codec: the quantizer applied on the wire.
             rng: randomness source for stochastic quantizers.
-            workspace: scratch arena for the zero-allocation hot path.
-                With a workspace, encode/decode run through the codec's
-                ``*_into`` kernels and per-rank decodes are fused into
-                a single running accumulator (``decode_into(...,
-                accumulate=True)``), preserving the exact summation
-                order of the allocating path — results are
-                bit-identical either way, and the recorded wire bytes
-                never change.  Not thread-safe: one workspace per
-                exchanging thread.
+            workspace: scratch arena for the zero-allocation hot path
+                (``None``: a throwaway one).  Encode/decode run through
+                the codec's ``*_into`` kernels and per-rank decodes are
+                fused into a single running accumulator
+                (``decode_into(..., accumulate=True)``) in rank order,
+                so the aggregate is bit-identical to summing dense
+                decodes.  Not thread-safe: one workspace per exchanging
+                thread.
         """
 
     def _check_inputs(self, tensors: list[np.ndarray]) -> tuple[int, ...]:

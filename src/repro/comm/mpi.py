@@ -74,22 +74,17 @@ class MpiReduceBroadcast(GradientExchange):
         ]
         n_cols = matrices[0].shape[1]
         ranges = partition_ranges(n_cols, self.world_size)
-        ws = workspace
+        ws = workspace if workspace is not None else EncodeWorkspace()
         # round-trip images are only materialized when the trainer
-        # needs them for error feedback (or on the allocating path)
-        need_local = ws is None or codec.requires_error_feedback
-        if ws is None:
-            decoded_local = [np.empty_like(m) for m in matrices]
-            aggregate = np.empty_like(matrices[0])
-        else:
-            if need_local:
-                decoded_local = [
-                    ws.array(("mpi.dl", rank), matrices[0].shape)
-                    for rank in range(self.world_size)
-                ]
-            else:
-                decoded_local = None
-            aggregate = ws.array("mpi.agg", matrices[0].shape)
+        # needs them for error feedback
+        need_local = codec.requires_error_feedback
+        decoded_local = None
+        if need_local:
+            decoded_local = [
+                ws.array(("mpi.dl", rank), matrices[0].shape)
+                for rank in range(self.world_size)
+            ]
+        aggregate = ws.array("mpi.agg", matrices[0].shape)
 
         tracer = self.tracer
         for owner, (lo, hi) in enumerate(ranges):
@@ -100,10 +95,7 @@ class MpiReduceBroadcast(GradientExchange):
             # sum — same per-rank summation order as materialize-then-
             # add, so the aggregate is bit-identical
             if need_local:
-                if ws is None:
-                    owner_sum = np.zeros((rows, hi - lo), dtype=np.float32)
-                else:
-                    owner_sum = ws.zeros("mpi.osum", (rows, hi - lo))
+                owner_sum = ws.zeros("mpi.osum", (rows, hi - lo))
                 decoder = None
             else:
                 decoder = codec.sum_decoder((rows, hi - lo), ws)

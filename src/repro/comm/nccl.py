@@ -65,36 +65,11 @@ class NcclRingAllreduce(GradientExchange):
     ) -> ExchangeResult:
         shape = self._check_inputs(tensors)
         inputs = [np.asarray(t, dtype=np.float32) for t in tensors]
-        ws = workspace
+        ws = workspace if workspace is not None else EncodeWorkspace()
         tracer = self.tracer
 
-        if ws is None:
-            if isinstance(codec, FullPrecision):
-                decoded_local = inputs
-                payload_bytes = codec.encoded_nbytes(inputs[0].shape)
-            else:
-                # simulated low-precision NCCL: local round-trip, exact sum
-                decoded_local = []
-                payload_bytes = 0
-                for rank, tensor in enumerate(inputs):
-                    with tracer.span("encode", rank):
-                        message = codec.encode(tensor, rng)
-                    self._count_encode(message.nbytes, key)
-                    payload_bytes = message.nbytes
-                    with tracer.span("decode", rank):
-                        decoded_local.append(codec.decode(message))
-                    self._count_decode(message.nbytes, key)
-            aggregate = np.zeros(shape, dtype=np.float32)
-            for decoded in decoded_local:
-                aggregate += decoded
-            self._record_ring_traffic(key, payload_bytes)
-            return ExchangeResult(
-                aggregate=aggregate, decoded_local=list(decoded_local)
-            )
-
-        # workspace path: fuse each rank's round-trip decode into the
-        # running accumulator in rank order — the exact summation order
-        # of the allocating path above, so the sum is bit-identical
+        # each rank's round-trip decode is fused into the running
+        # accumulator in rank order
         if isinstance(codec, FullPrecision):
             aggregate = ws.zeros("nccl.agg", shape)
             for tensor in inputs:

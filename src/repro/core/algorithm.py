@@ -93,9 +93,7 @@ class SynchronousStep:
         # scratch arena for the zero-allocation hot path; exchanges run
         # on one coordinator thread in both engines, so one arena is
         # enough (EncodeWorkspace is not thread-safe)
-        self.workspace: EncodeWorkspace | None = (
-            EncodeWorkspace() if getattr(config, "workspace", True) else None
-        )
+        self.workspace = EncodeWorkspace()
         # per-rank error-feedback residuals, keyed by parameter name
         self._residuals: list[dict[str, np.ndarray]] = [
             {} for _ in range(config.world_size)
@@ -107,8 +105,8 @@ class SynchronousStep:
         self.sync_mode = config.sync_mode
         self._round_position = 0
         # "allreduce" mode: per-rank running gradient sums, allocated
-        # once per (rank, name) — from the workspace arena when one is
-        # active — and zeroed after every round flush
+        # once per (rank, name) from the workspace arena and zeroed
+        # after every round flush
         self._accumulators: list[dict[str, np.ndarray]] = [
             {} for _ in range(config.world_size)
         ]
@@ -173,12 +171,8 @@ class SynchronousStep:
     ) -> np.ndarray:
         acc = self._accumulators[rank].get(name)
         if acc is None:
-            ws = self.workspace
-            if ws is None:
-                acc = np.zeros(shape, dtype)
-            else:
-                acc = ws.array(("acc", rank, name), shape, dtype)
-                acc.fill(0)
+            acc = self.workspace.array(("acc", rank, name), shape, dtype)
+            acc.fill(0)
             self._accumulators[rank][name] = acc
         return acc
 
@@ -217,17 +211,12 @@ class SynchronousStep:
             )
         base = self._round_base[name]
         ws = self.workspace
-        if ws is None:
-            deltas = [params - base for params in rank_params]
-        else:
-            deltas = []
-            for rank, params in enumerate(rank_params):
-                buf = ws.array(("delta", rank), base.shape, base.dtype)
-                np.subtract(params, base, out=buf)
-                deltas.append(buf)
+        deltas = []
+        for rank, params in enumerate(rank_params):
+            buf = ws.array(("delta", rank), base.shape, base.dtype)
+            np.subtract(params, base, out=buf)
+            deltas.append(buf)
         mean_delta = self.aggregate(name, deltas)
-        if ws is None:
-            return base + mean_delta
         averaged = ws.array(("avg", name), base.shape, base.dtype)
         np.add(base, mean_delta, out=averaged)
         return averaged
@@ -275,12 +264,9 @@ class SynchronousStep:
                     # allocation, updated in place from then on
                     residual = np.zeros_like(grad)
                     self._residuals[rank][name] = residual
-                if ws is None:
-                    corrected.append(grad + residual)
-                else:
-                    buf = ws.array(("corr", rank), grad.shape, grad.dtype)
-                    np.add(grad, residual, out=buf)
-                    corrected.append(buf)
+                buf = ws.array(("corr", rank), grad.shape, grad.dtype)
+                np.add(grad, residual, out=buf)
+                corrected.append(buf)
         else:
             corrected = list(rank_grads)
 
@@ -299,14 +285,11 @@ class SynchronousStep:
                     out=self._residuals[rank][name],
                 )
 
-        if ws is None:
-            mean = result.aggregate / scale
-        else:
-            # per-name mean buffers: the engines collect means for every
-            # parameter of a step before applying them, so buffers must
-            # not alias across parameters
-            mean = ws.array(("mean", name), result.aggregate.shape)
-            np.divide(result.aggregate, scale, out=mean)
+        # per-name mean buffers: the engines collect means for every
+        # parameter of a step before applying them, so buffers must not
+        # alias across parameters
+        mean = ws.array(("mean", name), result.aggregate.shape)
+        np.divide(result.aggregate, scale, out=mean)
         if self._accumulating:
             # the round is flushed; the sums restart from zero
             for rank in range(self.world_size):

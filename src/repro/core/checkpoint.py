@@ -17,8 +17,7 @@ member paths], "state": {path: JSON leaf}}``.  They are written to a
 temporary file in the target directory and atomically renamed into
 place (``os.replace``), so a crash mid-save can never leave a torn
 checkpoint behind; one that is damaged afterwards fails to load with a
-:class:`CheckpointError`.  Format-1 files (written before the state
-tree existed) load through :func:`tree_from_v1`.
+:class:`CheckpointError`, and so does a file of any other format.
 """
 
 from __future__ import annotations
@@ -237,10 +236,7 @@ class TrainingCheckpoint:
         try:
             with np.load(Path(path), allow_pickle=False) as archive:
                 arrays = {key: archive[key] for key in archive.files}
-            raw = arrays.pop("__meta__")
-            # format 1 stored the JSON as a numpy unicode scalar
-            text = str(raw[()]) if raw.dtype.kind == "U" else raw.tobytes()
-            meta = json.loads(text)
+            meta = json.loads(arrays.pop("__meta__").tobytes())
             version = meta["version"]
             frame = {
                 "version": FORMAT_VERSION,
@@ -252,8 +248,6 @@ class TrainingCheckpoint:
             raise CheckpointError(
                 f"{path}: not a readable checkpoint ({exc!r})"
             ) from exc
-        if version == 1:
-            return cls(frame, tree_from_v1(meta, arrays))
         if version != FORMAT_VERSION:
             raise CheckpointError(
                 f"{path}: unsupported checkpoint version {version} "
@@ -266,67 +260,6 @@ class TrainingCheckpoint:
                 "metadata lists"
             )
         return cls(frame, unflatten({**meta["state"], **arrays}))
-
-
-def tree_from_v1(meta: dict, arrays: dict[str, np.ndarray]) -> dict:
-    """The state tree a format-1 checkpoint describes (pure function).
-
-    Format 1 kept seven index-keyed array families (``param{i}``,
-    ``param{i}r{position}``, ``vel{i}``, ``res{i}``, ``exch{i}``,
-    ``acc{i}``, ``rb{i}``) and seven metadata lists mapping them back to
-    names and ranks; this is the one place that still knows them.  A
-    format-1 file has no module buffers, so a batch-normalised model
-    resumed from one starts from fresh running statistics — the wrong
-    continuation format 1 always gave such models.  Delete this
-    function (and the version-1 branch of ``load``) once no format-1
-    checkpoint is left to resume: the files are written per run and
-    pruned to ``keep``, so that is one release after this one.
-    """
-    live = [str(int(rank)) for rank in meta["live_ranks"]]
-    names = meta["param_names"]
-
-    def family(prefix: str, keys: list, suffix: str = "") -> dict:
-        return {
-            key: arrays[f"{prefix}{i}{suffix}"] for i, key in enumerate(keys)
-        }
-
-    per_rank: dict = {
-        rank: {"residuals": {}, "accumulators": {}} for rank in live
-    }
-    for kind, prefix in (("residuals", "res"), ("accumulators", "acc")):
-        for i, (rank, name) in enumerate(meta.get(kind, [])):
-            per_rank[str(rank)][kind][name] = arrays[f"{prefix}{i}"]
-    exchange: dict = {}
-    for key, residual in family("exch", meta["exchange_keys"]).items():
-        owner, _, stream = key.partition("|")
-        exchange.setdefault(owner, {})[stream] = residual
-    tree = {
-        "step_index": meta["step"],
-        "live_ranks": [int(rank) for rank in live],
-        "params": family("param", names),
-        "velocity": family("vel", meta["velocity_names"]),
-        "step": {
-            "rng": meta["quant_state"],
-            "exchange": exchange,
-            "round_position": meta.get("round_position", 0),
-            "round_base": family("rb", meta.get("round_base_names", [])),
-            "policy_assignments": meta.get("policy_assignments") or {},
-            "comm_bytes": meta["partial_comm_bytes"],
-            "ranks": per_rank,
-        },
-        "ranks": {rank: {"rngs": meta["module_rngs"][rank]} for rank in live},
-    }
-    for key in ("epoch", "batches_done", "shuffle_state", "partial_losses",
-                "partial_accuracies", "history"):
-        tree[key] = meta[key]
-    if meta.get("per_rank_params"):
-        # mid-round local SGD: each live rank's own diverged replica
-        del tree["params"]
-        for position, rank in enumerate(live):
-            tree["ranks"][rank]["params"] = family(
-                "param", names, f"r{position}"
-            )
-    return tree
 
 
 def checkpoint_steps(

@@ -220,11 +220,6 @@ class TrainingConfig:
         True, "MPI path re-quantizes aggregated ranges before broadcast "
         "(CNTK behaviour)", identity=True,
     )
-    #: bit-identical to the allocating path (fused decode-accumulate in
-    #: the exchanges); a switch so benchmarks can compare the two
-    workspace: bool = knob(
-        True, "reuse cached encode/decode scratch buffers across steps"
-    )
     passthrough_coverage: float = knob(
         0.99, "fraction of parameters that must stay quantized when "
         "choosing the small-matrix passthrough threshold", identity=True,

@@ -52,7 +52,7 @@ class History:
             ``failures`` these do *not* stop the run — training
             continued on the survivors.
         kernel_backend: name of the quantization kernel backend that
-            was active during the run ("numba", "cext" or "numpy"),
+            was active during the run ("cext" or "numpy"),
             recorded by the trainer for provenance.  Deliberately
             excluded from :meth:`digest`: equal digests from runs whose
             ``kernel_backend`` differs is exactly the cross-backend

@@ -15,9 +15,8 @@ power-of-two slot widths, and keeps unpacking branch-free.
 
 Hot-path forms: :func:`pack_into` and :func:`unpack_into` validate the
 request and dispatch the lane arithmetic to the active kernel backend
-(:mod:`repro.quantization.kernels`): compiled loops under numba or the
-C extension, the vectorized numpy reference otherwise — all
-bit-identical by test.  Lane scratch comes from the caller's
+(:mod:`repro.quantization.kernels`): the C extension's loops, or the
+vectorized numpy reference — bit-identical by test.  Lane scratch comes from the caller's
 :class:`~repro.quantization.workspace.EncodeWorkspace`, so
 steady-state packing performs no allocations with any backend.
 """

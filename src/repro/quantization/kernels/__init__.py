@@ -7,31 +7,29 @@ behind :class:`~repro.quantization.base.BucketSumDecoder`, and the
 — are provided by interchangeable *backends* with identical signatures
 and byte-for-byte identical output:
 
-``numba``
-    ``@njit(cache=True)``-compiled loop kernels (:mod:`._numba`).
-    Available when the optional ``numba`` dependency is installed
-    (``pip install repro[kernels]``).
 ``cext``
     ``_kernels.c`` compiled on first use with the system C compiler
     and called through ctypes (:mod:`._cext`).  Available when a
     working ``cc`` is on PATH.
 ``numpy``
     The pure-numpy reference (:mod:`._numpy`); always available.
-    This backend defines the bit pattern the other two must match.
+    This backend defines the bit pattern ``cext`` must match.
 
 Selection happens once, on first use: the ``REPRO_KERNELS``
-environment variable (``numba``, ``cext`` or ``numpy``) forces a
-backend — raising immediately if the forced backend cannot load — and
-without it the registry auto-selects the first available of
-``numba`` → ``cext`` → ``numpy``, falling through gracefully when a
-compiled backend is absent.  Callers dispatch per call via
+environment variable (``cext`` or ``numpy``) forces a backend —
+raising immediately if the forced backend cannot load — and without it
+the registry auto-selects ``cext``, falling back to ``numpy`` when the
+C backend cannot build.  :func:`requested_backend` checks the variable
+without loading anything, so a command can refuse an unknown name
+before it starts work.  Callers dispatch per call via
 :func:`active`, so the test suite can pin backends with
 :func:`use_backend` without re-importing anything.
 
 Bit-identity across backends is enforced by
 ``tests/quantization/test_kernels.py`` over the full
 scheme×bits×bucket×shape grid and the 1bitSGD group-length × layout
-grid, including the RNG-consuming stochastic rounding: the uniform draws are made by the caller with the run's
+grid, including the RNG-consuming stochastic rounding: the uniform
+draws are made by the caller with the run's
 :class:`numpy.random.Generator` and passed *into* the kernels, so
 every backend consumes the identical stream.
 """
@@ -46,13 +44,14 @@ __all__ = [
     "active",
     "backend_name",
     "available_backends",
+    "requested_backend",
     "set_backend",
     "use_backend",
     "BACKEND_ORDER",
 ]
 
 #: auto-selection preference, fastest first
-BACKEND_ORDER = ("numba", "cext", "numpy")
+BACKEND_ORDER = ("cext", "numpy")
 
 _active = None
 #: backend name -> repr of the exception that kept it from loading
@@ -70,14 +69,24 @@ def _try_load(name: str):
         return None
 
 
-def _select():
+def requested_backend() -> str:
+    """The backend ``REPRO_KERNELS`` forces (``""``: auto-select).
+
+    Raises ``ValueError`` listing the choices for an unknown name; loads
+    nothing.
+    """
     forced = os.environ.get("REPRO_KERNELS", "").strip().lower()
+    if forced and forced not in BACKEND_ORDER:
+        raise ValueError(
+            f"REPRO_KERNELS={forced!r}: unknown backend "
+            f"(choose from {', '.join(BACKEND_ORDER)})"
+        )
+    return forced
+
+
+def _select():
+    forced = requested_backend()
     if forced:
-        if forced not in BACKEND_ORDER:
-            raise ValueError(
-                f"REPRO_KERNELS={forced!r}: unknown backend "
-                f"(choose from {', '.join(BACKEND_ORDER)})"
-            )
         module = _try_load(forced)
         if module is None:
             raise RuntimeError(
@@ -101,7 +110,7 @@ def active():
 
 
 def backend_name() -> str:
-    """Name of the active backend: ``"numba"``, ``"cext"`` or ``"numpy"``."""
+    """Name of the active backend: ``"cext"`` or ``"numpy"``."""
     return active().name
 
 

@@ -185,17 +185,6 @@ class ExecutionEngine(abc.ABC):
         return self.workers[0].optimizer
 
     @property
-    def workspace(self):
-        """The step engine's scratch arena (``None`` when disabled).
-
-        Both engines drive every bucket exchange from the coordinator
-        thread, so a single arena serves the whole run; its buffers are
-        reused across steps, which is what makes the steady-state hot
-        path allocation-free.
-        """
-        return self.step_engine.workspace
-
-    @property
     def reference_worker(self) -> RankWorker:
         """A live worker whose replica equals every other live replica.
 

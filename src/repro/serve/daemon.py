@@ -74,26 +74,6 @@ def _wait_readable(fds, timeout: float) -> list[int]:
     return [fd for fd, _ in poller.poll(max(0.0, timeout) * 1e3)]
 
 
-def _legacy_runner_start_time(pid: int, job_id: str) -> int | None:
-    """Identify the runner of a record that has a pid but no start time.
-
-    Such records were written before ``pid_start_time`` existed, when
-    every runner was ``python -m repro.serve.runner <job-dir>``: the
-    pid is the job's runner if its command line names the runner
-    module and this job.  Returns that process's start time, ``None``
-    if the pid is gone or is something else (left alone -- a runner
-    exits on its own once its daemon is gone).
-    """
-    try:
-        with open(f"/proc/{pid}/cmdline", "rb") as stream:
-            cmdline = stream.read()
-    except OSError:
-        return None
-    if b"repro.serve.runner" in cmdline and job_id.encode() in cmdline:
-        return process_start_time(pid)
-    return None
-
-
 class ZygoteError(RuntimeError):
     """The zygote would not fork a runner, even after a restart."""
 
@@ -347,12 +327,9 @@ class ServeDaemon:
             # state == RUNNING under the dead daemon: no second runner
             # may start while the first can still write into ckpts/
             if record.pid is not None:
-                start_time = record.pid_start_time
-                if start_time is None:
-                    start_time = _legacy_runner_start_time(
-                        record.pid, record.job_id
-                    )
-                runner = _Runner(record.pid, start_time)
+                # a record without a start time names no process we can
+                # prove is its runner: _Runner treats it as gone
+                runner = _Runner(record.pid, record.pid_start_time)
                 runner.signal(signal.SIGKILL)
                 runner.await_gone()
             self._settle_dead_runner(record)

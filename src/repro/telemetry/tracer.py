@@ -313,7 +313,8 @@ class NullTracer:
     ``counter_sink`` is ``None`` (byte-accounting call sites check for
     ``None`` instead of calling through), so steady-state training with
     tracing off performs zero tracing allocations — the overhead-guard
-    test and ``bench_hotpath.py`` both pin this.
+    test pins this, and the e2e ``telemetry.null_span_ns`` metric
+    measures the span cost.
     """
 
     enabled = False

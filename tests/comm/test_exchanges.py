@@ -44,11 +44,17 @@ class TestExactSum:
 
     @pytest.mark.parametrize("name", EXCHANGES)
     def test_decoded_local_is_input_for_fullprec(self, name):
+        # full precision needs no error feedback, so its round-trip
+        # images are fused away -- except NCCL's exact sum, which holds
+        # them for free: they are the inputs themselves
         tensors = make_tensors(3)
         exchange = make_exchange(name, 3)
         result = exchange.exchange(
             "w", tensors, FullPrecision(), np.random.default_rng(0)
         )
+        if name != "nccl":
+            assert result.decoded_local is None
+            return
         for rank in range(3):
             np.testing.assert_array_equal(
                 result.decoded_local[rank], tensors[rank]

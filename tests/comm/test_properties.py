@@ -68,7 +68,14 @@ class TestExchangeProperties:
         )
         assert result.aggregate.shape == tuple(shape)
         assert np.isfinite(result.aggregate).all()
-        assert len(result.decoded_local) == world_size
+        # round-trip images exist for error feedback (and NCCL's exact
+        # full-precision sum); otherwise they were fused away
+        if codec.requires_error_feedback or (
+            exchange_name == "nccl" and scheme == "32bit"
+        ):
+            assert len(result.decoded_local) == world_size
+        else:
+            assert result.decoded_local is None
 
     @settings(max_examples=30, deadline=None)
     @given(

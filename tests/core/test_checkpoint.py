@@ -7,8 +7,6 @@ of the trajectory, and across an engine switch at the resume point.
 """
 
 import json
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,9 +22,6 @@ from repro.core.checkpoint import TrainingCheckpoint, config_from_dict
 from repro.data import make_image_dataset
 from repro.models import tiny_alexnet, tiny_resnet
 from repro.statetree import flatten
-
-FIXTURES_V1 = Path(__file__).parent / "fixtures_v1"
-
 
 @pytest.fixture(scope="module")
 def dataset():
@@ -458,29 +453,6 @@ class TestBitIdenticalResume:
                 resume_from=latest_checkpoint(tmp_path),
             )
         assert [m.epoch for m in resumed.epochs] == [0, 1, 2]
-
-
-class TestFormatOneStillResumes:
-    """Checkpoints written by the last format-1 commit (see
-    ``fixtures_v1/make_fixtures.py``) load through the one adapter and
-    continue to the digest that commit's own resume produced."""
-
-    DIGESTS = json.loads((FIXTURES_V1 / "digests.json").read_text())
-
-    @pytest.mark.parametrize("name", sorted(DIGESTS))
-    def test_fixture_resumes_to_recorded_digest(self, name, monkeypatch):
-        monkeypatch.syspath_prepend(str(FIXTURES_V1))
-        sys.modules.pop("cells", None)
-        from cells import CELLS, build
-
-        cell = CELLS[name]
-        ckpt = TrainingCheckpoint.load(FIXTURES_V1 / f"{name}.npz")
-        assert ckpt.step == cell["step"] and ckpt.batches_done > 0
-        with build(cell, faults=False) as trainer:
-            history = trainer.fit(
-                *cell["data"], epochs=cell["epochs"], resume_from=ckpt
-            )
-        assert history.digest() == self.DIGESTS[name]
 
 
 class TestDamagedCheckpoints:

@@ -26,12 +26,12 @@ class TestKernelBackendMetadata:
         assert a.digest() == b.digest()
 
     def test_to_dict_roundtrip_preserves_backend(self):
-        history = History(label="run", kernel_backend="numba")
+        history = History(label="run", kernel_backend="cext")
         history.append(_epoch(0))
         record = history.to_dict()
-        assert record["kernel_backend"] == "numba"
+        assert record["kernel_backend"] == "cext"
         restored = History.from_dict(record)
-        assert restored.kernel_backend == "numba"
+        assert restored.kernel_backend == "cext"
         assert restored.digest() == history.digest()
 
     def test_to_dict_omits_backend_when_unset(self):

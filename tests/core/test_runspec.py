@@ -14,6 +14,8 @@ import repro.cli
 import repro.core.checkpoint
 import repro.core.config
 import repro.core.runspec as runspec
+import repro.runtime.engine
+import repro.serve.daemon
 import repro.simulator.costmodel
 from repro.cli import build_parser
 from repro.core import TrainingConfig
@@ -121,9 +123,13 @@ class TestSchema:
         }
 
     def test_option_count_went_down(self):
-        assert len(fields(TrainingConfig)) == 36
+        assert len(fields(TrainingConfig)) == 35
         assert not hasattr(TrainingConfig(), "ipc")
+        assert not hasattr(TrainingConfig(), "workspace")
         gone = [
+            (repro.core.checkpoint, "tree_from_v1"),
+            (repro.runtime.engine.ExecutionEngine, "workspace"),
+            (repro.serve.daemon, "_legacy_runner_start_time"),
             (repro.core.config, "IPC_NAMES"),
             (repro.core, "IPC_NAMES"),
             (repro.cli, "_TRACE_SCHEMES"),

@@ -1,17 +1,15 @@
 """Bit-identity and registry tests for the kernel backend layer.
 
-The compiled backends (numba, the C extension) exist purely for speed:
+The compiled backend (the C extension) exists purely for speed:
 their contract is that every byte they produce — packed code words,
 scale vectors, decoded tensors, fused accumulations — is identical to
 the pure-numpy reference, including the stochastic-rounding decisions
 (the uniform draws are made by the caller and passed in, so all
 backends consume the same RNG stream).  These tests enforce that
 contract over the full scheme×bits×bucket×shape grid (and the 1bitSGD
-group-length × layout grid) against whichever compiled backends load
-in this environment, exercise the uncompiled
-``_impls`` loop kernels (the numba source) directly so the arithmetic
-is validated even where numba is not installed, and pin the selection
-rules of the registry itself.
+group-length × layout grid) against the compiled backend when it
+loads in this environment, and pin the selection rules of the
+registry itself.
 """
 
 import numpy as np
@@ -22,7 +20,6 @@ from repro.data import make_image_dataset
 from repro.models import tiny_alexnet
 from repro.quantization import OneBitSgd, bitpack, kernels
 from repro.quantization.base import EncodedTensor
-from repro.quantization.kernels import _impls
 from repro.quantization.kernels import _numpy as ref_backend
 from repro.quantization.onebit import decode_groups_into, encode_groups_into
 from repro.quantization.qsgd import Qsgd
@@ -31,7 +28,7 @@ from repro.quantization.workspace import EncodeWorkspace
 BACKENDS = kernels.available_backends()
 #: compiled backends to check against the reference; a skip marker
 #: stands in so the grid reports as skipped (not silently absent) in
-#: environments with neither numba nor a C compiler
+#: environments without a C compiler
 COMPILED = [name for name in BACKENDS if name != "numpy"] or [
     pytest.param(
         "numpy", marks=pytest.mark.skip(reason="no compiled backend")
@@ -433,112 +430,6 @@ def test_bucket_sum_decoder_rejects_mismatched_geometry():
         decoder.add(other)
 
 
-class TestImplsUncompiled:
-    """The numba source (``_impls``) run as plain Python on tiny shapes.
-
-    This validates the loop arithmetic against the numpy reference even
-    in environments without numba, and keeps the module covered.
-    """
-
-    LANES = (5, 8)
-
-    def _buckets(self, zero_row=True):
-        buckets = (
-            np.random.default_rng(2)
-            .normal(size=self.LANES)
-            .astype(np.float32)
-        )
-        if zero_row:
-            buckets[1, :] = 0.0
-        return buckets
-
-    def test_transpose_roundtrip(self):
-        grad = np.arange(12, dtype=np.float32).reshape(3, 4)
-        flat = np.empty(12, dtype=np.float32)
-        _impls.transpose_f32(grad, flat)
-        np.testing.assert_array_equal(flat, grad.ravel(order="F"))
-        back = np.empty_like(grad)
-        _impls.untranspose_f32(flat, back)
-        np.testing.assert_array_equal(back, grad)
-
-    def test_absmax_rows(self):
-        buckets = self._buckets()
-        scales = np.empty(self.LANES[0], dtype=np.float32)
-        _impls.absmax_rows(buckets, scales)
-        np.testing.assert_array_equal(
-            scales, np.abs(buckets).max(axis=1)
-        )
-
-    @pytest.mark.parametrize("bits", [2, 4, 8])
-    def test_quant_dequant_sign(self, bits):
-        buckets = self._buckets()
-        scales = np.abs(buckets).max(axis=1)
-        rand = np.random.default_rng(4).random(self.LANES)
-        codes = np.empty(self.LANES, dtype=np.uint32)
-        _impls.quant_sign(buckets, scales, bits, rand, codes)
-
-        ws = EncodeWorkspace()
-        want_codes = np.empty(self.LANES, dtype=np.uint32)
-        ref_backend.quantize_sign(
-            buckets, scales, bits, rand, want_codes, ws
-        )
-        np.testing.assert_array_equal(codes, want_codes)
-
-        out = np.empty(self.LANES, dtype=np.float32)
-        _impls.dequant_sign(codes, scales, bits, out, False)
-        want = np.empty(self.LANES, dtype=np.float32)
-        ref_backend.dequantize_sign(codes, scales, bits, want, False, ws)
-        assert _bits_equal(out, want)
-
-        # accumulate-into-zeros differs from plain decode only where
-        # IEEE addition does: 0 + (-0) is +0, matching the reference's
-        # zeros-then-add path exactly
-        acc = np.zeros(self.LANES, dtype=np.float32)
-        _impls.dequant_sign(codes, scales, bits, acc, True)
-        want_acc = np.zeros(self.LANES, dtype=np.float32)
-        want_acc += want
-        assert _bits_equal(acc, want_acc)
-
-    @pytest.mark.parametrize("bits", [2, 4, 8])
-    def test_quant_dequant_grid(self, bits):
-        buckets = self._buckets()
-        scales = np.abs(buckets).max(axis=1)
-        rand = np.random.default_rng(5).random(self.LANES)
-        codes = np.empty(self.LANES, dtype=np.uint32)
-        _impls.quant_grid(buckets, scales, bits, rand, codes)
-
-        ws = EncodeWorkspace()
-        want_codes = np.empty(self.LANES, dtype=np.uint32)
-        ref_backend.quantize_grid(
-            buckets, scales, bits, rand, want_codes, ws
-        )
-        np.testing.assert_array_equal(codes, want_codes)
-
-        out = np.empty(self.LANES, dtype=np.float32)
-        _impls.dequant_grid(codes, scales, bits, out, False)
-        want = np.empty(self.LANES, dtype=np.float32)
-        ref_backend.dequantize_grid(codes, scales, bits, want, False, ws)
-        assert _bits_equal(out, want)
-
-    @pytest.mark.parametrize("slot", [1, 2, 4, 8, 16, 32])
-    def test_pack_unpack_words(self, slot):
-        per_word = 32 // slot
-        count = 3 * per_word + max(1, per_word - 1)  # ragged tail
-        codes = np.random.default_rng(6).integers(
-            0, 1 << slot, size=count, dtype=np.uint64
-        ).astype(np.uint32)
-        n_words = -(-count // per_word)
-        words = np.zeros(n_words, dtype=np.uint32)
-        _impls.pack_words(codes, count, slot, words, n_words)
-
-        want = bitpack.pack(codes.astype(np.uint64), slot)
-        np.testing.assert_array_equal(words, want)
-
-        lanes = np.empty(n_words * per_word, dtype=np.uint32)
-        _impls.unpack_words(words, n_words, slot, lanes)
-        np.testing.assert_array_equal(lanes[:count], codes)
-
-
 class TestRegistry:
     def test_numpy_backend_always_available(self):
         assert "numpy" in kernels.available_backends()
@@ -566,15 +457,33 @@ class TestRegistry:
         monkeypatch.setenv("REPRO_KERNELS", "numpy")
         assert kernels._select().name == "numpy"
 
-    def test_forced_unavailable_backend_raises(self, monkeypatch):
+    def test_retired_backend_name_is_unknown(self, monkeypatch):
+        # numba was a backend once; a stale env value must be refused
+        # like any other unknown name, before anything loads
         monkeypatch.setenv("REPRO_KERNELS", "numba")
+        with pytest.raises(ValueError, match="choose from cext, numpy"):
+            kernels.requested_backend()
+
+    def test_requested_backend_loads_nothing(self, monkeypatch):
+        monkeypatch.setenv("REPRO_KERNELS", " CEXT ")
+
+        def no_load(name):
+            raise AssertionError(f"{name} was loaded")
+
+        monkeypatch.setattr(kernels, "_try_load", no_load)
+        assert kernels.requested_backend() == "cext"
+        monkeypatch.delenv("REPRO_KERNELS")
+        assert kernels.requested_backend() == ""
+
+    def test_forced_unavailable_backend_raises(self, monkeypatch):
+        monkeypatch.setenv("REPRO_KERNELS", "cext")
 
         def unavailable(name):
             kernels._load_errors[name] = ImportError("not installed")
             return None
 
         monkeypatch.setattr(kernels, "_try_load", unavailable)
-        with pytest.raises(RuntimeError, match="numba"):
+        with pytest.raises(RuntimeError, match="cext"):
             kernels._select()
 
     def test_set_backend_unavailable_raises(self, monkeypatch):
@@ -584,7 +493,7 @@ class TestRegistry:
 
         monkeypatch.setattr(kernels, "_try_load", unavailable)
         with pytest.raises(RuntimeError, match="not available"):
-            kernels.set_backend("numba")
+            kernels.set_backend("cext")
 
     def test_auto_selection_falls_back_to_numpy(self, monkeypatch):
         monkeypatch.delenv("REPRO_KERNELS", raising=False)

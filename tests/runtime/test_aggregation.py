@@ -28,7 +28,7 @@ from repro.core import (
     latest_checkpoint,
 )
 from repro.data import make_image_dataset
-from repro.models import tiny_alexnet
+from repro.models import tiny_alexnet, tiny_resnet
 from repro.nn.module import Parameter
 from repro.telemetry import Tracer
 
@@ -59,10 +59,12 @@ def make_config(**kw):
     return TrainingConfig(**defaults)
 
 
-def run(dataset, *, epochs=2, **kw):
-    with ParallelTrainer(
-        tiny_alexnet(num_classes=4, image_size=8, seed=1), make_config(**kw)
-    ) as trainer:
+def run(dataset, *, epochs=2, model=None, **kw):
+    model = (
+        tiny_alexnet(num_classes=4, image_size=8, seed=1)
+        if model is None else model()
+    )
+    with ParallelTrainer(model, make_config(**kw)) as trainer:
         history = trainer.fit(
             dataset.train_x,
             dataset.train_y,
@@ -155,17 +157,37 @@ class TestEngineParityWithAggregation:
         )
 
 
+#: (run kwargs, wire bytes per 4-step epoch at N=1 or None) -- the
+#: second is the comm-bound K=4 tiny_resnet cell of the old engines
+#: benchmark, which read 16 832 928 B per epoch at N=1 and 2 805 488 at
+#: N=8: "6.0x" only because its 3-epoch window held 12 steps and two
+#: flushes.  Per exchange the reduction is exactly N.
+WIRE_CELLS = [
+    ({}, None),
+    (
+        dict(
+            model=lambda: tiny_resnet(num_classes=4, seed=1),
+            scheme="32bit", exchange="mpi", world_size=4,
+        ),
+        16_832_928,
+    ),
+]
+
+
 class TestWireTraffic:
     def test_wire_bytes_scale_down_by_exactly_n(self, dataset):
         # 8 steps, frequency 8: one exchange instead of eight.  Wire
         # bytes per exchange depend only on shapes and codecs, so the
         # ratio is exact, not approximate.
-        n1, _ = run(dataset, aggregation_frequency=1)
-        n8, _ = run(dataset, aggregation_frequency=8)
-        total_n1 = sum(n1.series("comm_bytes"))
-        total_n8 = sum(n8.series("comm_bytes"))
-        assert total_n8 > 0
-        assert total_n1 == 8 * total_n8
+        for kw, per_epoch in WIRE_CELLS:
+            n1, _ = run(dataset, aggregation_frequency=1, **kw)
+            n8, _ = run(dataset, aggregation_frequency=8, **kw)
+            total_n1 = sum(n1.series("comm_bytes"))
+            total_n8 = sum(n8.series("comm_bytes"))
+            assert total_n8 > 0
+            assert total_n1 == 8 * total_n8
+            if per_epoch is not None:
+                assert n1.series("comm_bytes") == [per_epoch] * 2
 
     def test_skipped_rounds_counted(self, dataset):
         tracer = Tracer()

@@ -86,9 +86,9 @@ class TestRescan:
         assert final.state == JobState.SUCCEEDED
 
     def test_recycled_pid_is_not_killed(self, tmp_path):
-        # our own (alive) pid recorded against the job, as a record of
-        # the previous version (no start time): the legacy cmdline rule
-        # must recognise it is not a runner and leave it alone
+        # our own (alive) pid recorded against the job with no start
+        # time: nothing proves it is the job's runner, so it is left
+        # alone and the job requeues
         store, job_id = seeded_store(
             tmp_path, state=JobState.RUNNING, pid=os.getpid()
         )
@@ -117,21 +117,6 @@ class TestRescan:
                 daemon.cancel(job_id)
                 daemon.step()
             assert process_start_time(pid) == start_time
-
-    def test_live_orphan_runner_is_killed_before_requeue(self, tmp_path):
-        # a store left by the previous version of the daemon: the
-        # running record has a pid and no start time, and the runner
-        # is a plain `python -m repro.serve.runner <job-dir>`
-        store, job_id = seeded_store(tmp_path, SLOW_SPEC)
-        with foreign_runner(store.job_dir(job_id)) as pid:
-            store.update(job_id, state=JobState.RUNNING, pid=pid)
-            started = time.monotonic()
-            with ServeDaemon(store.root, max_ranks=2) as daemon:
-                # rescan SIGKILLed the verified runner, then requeued;
-                # its unreaped zombie does not count as alive
-                assert process_start_time(pid) is None
-                assert daemon.store.get(job_id).state == JobState.QUEUED
-            assert time.monotonic() - started < 8.0
 
     def test_live_runner_with_start_time_is_killed_before_requeue(
         self, tmp_path
@@ -225,6 +210,22 @@ class TestServeCli:
         ])
         assert code == 2
         assert "max_ranks" in capsys.readouterr().err
+
+    def test_unknown_kernel_backend_exits_2(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # refused before the store exists; runners would die on it
+        monkeypatch.setenv("REPRO_KERNELS", "cuda")
+        code = cli_main([
+            "serve", "--root", str(tmp_path / "root"), "--port", "0",
+            "--drain",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("repro serve: error: REPRO_KERNELS='cuda'")
+        assert "cext, numpy" in err
+        assert not (tmp_path / "root").exists()
 
     def test_unknown_queue_rejected_by_argparse(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as excinfo:

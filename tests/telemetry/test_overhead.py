@@ -19,7 +19,7 @@ from repro.telemetry import NULL_TRACER
 
 WORLD_SIZE = 4
 
-#: AlexNet-like shapes, scaled down from benchmarks/bench_hotpath.py
+#: AlexNet-like shapes (conv, large fc, small fc), scaled down
 PARAM_SHAPES = {
     "conv1": (32, 75),
     "fc1": (64, 512),

@@ -276,10 +276,14 @@ class TestResumeCommand:
         assert main(["resume", str(tmp_path)]) == 2
         assert "no ckpt-*.npz" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("damage", ["empty", "cut-short", "wrong-shape"])
+    @pytest.mark.parametrize(
+        "damage", ["empty", "cut-short", "wrong-shape", "format-1"]
+    )
     def test_damaged_checkpoint_is_one_error_line(
         self, capsys, tmp_path, damage
     ):
+        import json
+
         import numpy as np
 
         from repro.core import TrainingCheckpoint, latest_checkpoint
@@ -297,6 +301,14 @@ class TestResumeCommand:
             name = next(iter(ckpt.tree["params"]))
             ckpt.tree["params"][name] = np.zeros((3, 3), dtype=np.float32)
             ckpt.save(path)
+        elif damage == "format-1":
+            # format 1 (before the state tree) kept its metadata in a
+            # numpy unicode scalar; its reader is gone
+            with np.load(path) as archive:
+                arrays = {key: archive[key] for key in archive.files}
+            meta = json.loads(arrays.pop("__meta__").tobytes())
+            meta = np.array(json.dumps({**meta, "version": 1}))
+            np.savez(path, __meta__=meta, **arrays)
         else:
             data = path.read_bytes()
             path.write_bytes(data[: 0 if damage == "empty" else -30])
@@ -305,6 +317,42 @@ class TestResumeCommand:
         assert captured.err.startswith("repro resume: error: ")
         assert captured.err.count("\n") == 1
         assert "Traceback" not in captured.err + captured.out
+        if damage == "format-1":
+            assert "unsupported checkpoint version 1" in captured.err
+
+
+class TestKernelBackendRefusedAtStart:
+    """A bad ``REPRO_KERNELS`` is one error line and exit 2, before
+    any dataset, model or checkpoint is touched."""
+
+    ARGV = {
+        "train": ["train", "--world-size", "2", "--epochs", "1",
+                  "--train-samples", "16", "--test-samples", "8",
+                  "--batch-size", "8"],
+        "trace": ["trace", "--gpus", "2", "--train-samples", "16",
+                  "--test-samples", "8"],
+        "resume": ["resume", "no-such-checkpoint-dir"],
+    }
+
+    @pytest.mark.parametrize("value", ["cuda", "numba"])
+    @pytest.mark.parametrize("command", sorted(ARGV))
+    def test_unknown_backend_is_one_error_line(
+        self, capsys, monkeypatch, tmp_path, command, value
+    ):
+        from repro.quantization import kernels
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("REPRO_KERNELS", value)
+        # a fresh process: nothing selected yet
+        monkeypatch.setattr(kernels, "_active", None)
+        assert main(self.ARGV[command]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"repro {command}: error: REPRO_KERNELS={value!r}: unknown "
+            "backend (choose from cext, numpy)\n"
+        )
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestTrace:
