@@ -91,7 +91,7 @@ class SynchronousStep:
         self.exchange.traffic.counters = self.tracer.counter_sink
         self.rng = np.random.default_rng(config.seed)
         # scratch arena for the zero-allocation hot path; exchanges run
-        # on one coordinator thread in both engines, so one arena is
+        # on one coordinator thread in every engine, so one arena is
         # enough (EncodeWorkspace is not thread-safe)
         self.workspace = EncodeWorkspace()
         # per-rank error-feedback residuals, keyed by parameter name

@@ -4,11 +4,12 @@ The trainer owns the training loop (epochs, LR schedule, metrics) and
 delegates per-step execution to a :mod:`repro.runtime` engine: the
 sequential engine runs the rank workers one after another on the
 calling thread, the threaded engine runs one worker thread per rank
-with barrier-synchronized steps and overlapped bucketed exchange.
-Each rank holds its own model replica; synchronous SGD keeps replicas
-bit-identical (every rank applies the same aggregated update), and the
-two engines produce bit-identical trajectories — both invariants are
-asserted by tests.
+with barrier-synchronized steps and overlapped bucketed exchange, the
+process engine one OS process per rank.  All three run the same step
+protocol.  Each rank holds its own model replica; synchronous SGD keeps
+replicas bit-identical (every rank applies the same aggregated update),
+and the engines produce bit-identical trajectories — both invariants
+are asserted by tests.
 """
 
 from __future__ import annotations

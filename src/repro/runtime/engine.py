@@ -1,7 +1,13 @@
-"""Execution engines: how the K simulated ranks actually run.
+"""Execution engines: one synchronous step, three ways to run its ranks.
 
-Three engines share one interface and — by construction — one numeric
-trajectory:
+:class:`ExecutionEngine` writes the step once
+(:meth:`ExecutionEngine._attempt_step`): shard the global batch, start
+the ranks, walk the gradient buckets in one fixed order — aggregating
+each as soon as it is ready, or folding it into the round sums — then,
+past the commit point, pick the round mode's verdict (``apply``,
+``skip``, ``local`` or ``install``) and deliver it.  Every way a rank
+can be lost is classified there as well.  The engines are transports
+that differ only in how their ranks run and report:
 
 * :class:`SequentialEngine` runs rank workers one after another on the
   calling thread (the seed repository's behaviour, extracted).
@@ -12,7 +18,15 @@ trajectory:
 * :class:`~repro.runtime.process_engine.ProcessEngine` runs one OS
   process per rank with a shared-memory gradient exchange, lifting the
   GIL ceiling for Python-level compute as well (defined in its own
-  module; registered here by name).
+  module).
+
+A transport implements five hooks: start the ranks
+(:meth:`~ExecutionEngine._start_ranks`), wait for bucket *i*
+(:meth:`~ExecutionEngine._await_bucket`), hand over a rank's gradient
+views (:meth:`~ExecutionEngine._rank_grads`), deliver the verdict
+(:meth:`~ExecutionEngine._deliver`) and abort an attempt
+(:meth:`~ExecutionEngine._abort`).  A hook that loses ranks reports
+them as :class:`Lost`; it never builds a failure itself.
 
 A paced interconnect (``TrainingConfig.link_gbps``) models each rank
 shipping its encoded gradient contribution over its own link — the
@@ -31,7 +45,7 @@ tail reaches the step, whose floor is
 
 (forward; backward against the time to the first ready bucket plus one
 rank's whole wire time; the last bucket's exchange and the apply).
-The sequential engine reserves a rank's whole payload after that
+The sequential engine announces a rank's whole payload after that
 rank's compute and waits for it, so it pays every rank's wire time
 serially — the no-overlap reference.  Wire time is wall-clock only and
 never touches the numerics, so pacing cannot break engine parity.
@@ -40,10 +54,11 @@ Bit-identity between the engines holds for every scheme × exchange
 combination because (1) each rank's compute is the same code on the
 same replica with the same per-rank RNG stream, (2) the exchange is
 invoked bucket-by-bucket in one fixed order with one shared
-quantization RNG, and (3) every rank applies the same aggregated
-gradient.  The runtime test-suite asserts this across the full matrix.
+quantization RNG — by the one step protocol — and (3) every rank
+carries out the same verdict.  The runtime test-suite asserts this
+across the full matrix.
 
-Both engines additionally run every step through a shared recovery
+Every engine additionally runs every step through a shared recovery
 loop (see :mod:`repro.runtime.resilience`): a failed attempt is
 retried from a snapshot of the collective state with exponential
 backoff, and a rank that exhausts its retries can be evicted — the
@@ -59,7 +74,7 @@ import abc
 import queue
 import threading
 import time
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Mapping, NamedTuple
 
 import numpy as np
 
@@ -75,7 +90,7 @@ from .faults import (
     WorkerFailure,
     WorkerFailureError,
 )
-from .link import BucketUploads, LinkClock, sleep_until
+from .link import BucketUploads, LinkPlan, sleep_until
 from .resilience import AttemptFailure, RetryPolicy, TopologyChange
 from .worker import LossFn, RankWorker, clone_module, reseed_module_rngs
 
@@ -86,6 +101,7 @@ __all__ = [
     "ENGINE_NAMES",
     "STEP_MUTABLE",
     "ExecutionEngine",
+    "Lost",
     "SequentialEngine",
     "ThreadedEngine",
     "make_engine",
@@ -100,6 +116,18 @@ ENGINE_NAMES = ("sequential", "threaded", "process")
 #: — parameters, momentum, the step index — only moves at commit.  A
 #: failed attempt is rolled back by reloading a copy of exactly these.
 STEP_MUTABLE = ("step/", "ranks/")
+
+
+class Lost(NamedTuple):
+    """The ranks a transport lost in one phase of a step attempt.
+
+    ``errors`` maps each rank that stopped to what it raised (``None``:
+    it vanished without a word, like a killed process); ``silent``
+    names the ranks still running when the deadline passed.
+    """
+
+    errors: dict[int, BaseException | None]
+    silent: tuple[int, ...] = ()
 
 
 class ExecutionEngine(abc.ABC):
@@ -141,6 +169,8 @@ class ExecutionEngine(abc.ABC):
         )
         self.fault_plan = FaultPlan.from_config(config)
         self._step_index = 0
+        #: the terminal failure; once set, every further step refuses
+        self._failure: WorkerFailure | None = None
         # bytes/second of each rank's simulated link (None = free wire;
         # a single rank exchanges nothing, so pacing is moot)
         self._link_bytes_per_s = (
@@ -162,11 +192,12 @@ class ExecutionEngine(abc.ABC):
         }
         #: bytes one rank puts on the wire per step
         self.per_rank_payload_nbytes = sum(self.bucket_tx_nbytes.values())
-        self._bucket_of_name = {
-            name: bucket.index
-            for bucket in self.buckets
-            for name in bucket.names
-        }
+        #: every rank's link opens from this plan (None: free wire)
+        self._link = None if self._link_bytes_per_s is None else LinkPlan(
+            self._link_bytes_per_s,
+            {name: b.index for b in self.buckets for name in b.names},
+            self.bucket_tx_nbytes,
+        )
         # resilience: live topology, retry schedule, and eviction log
         self.live_ranks: list[int] = list(range(config.world_size))
         self.topology_events: list[TopologyChange] = []
@@ -230,32 +261,6 @@ class ExecutionEngine(abc.ABC):
                 scales[rank] = float(scale)
         return scales
 
-    def _exchange_bucket(self, bucket: GradientBucket) -> dict[str, np.ndarray]:
-        """Run the collective for one bucket; returns aggregated grads."""
-        return self.step_engine.aggregate_bucket(
-            list(bucket.names),
-            {
-                name: [
-                    self.workers[rank].gradient(name)
-                    for rank in self.live_ranks
-                ]
-                for name in bucket.names
-            },
-        )
-
-    def _accumulate_bucket(self, bucket: GradientBucket) -> None:
-        """Fold one bucket into the round sums (no exchange runs)."""
-        self.step_engine.accumulate_bucket(
-            list(bucket.names),
-            {
-                name: [
-                    self.workers[rank].gradient(name)
-                    for rank in self.live_ranks
-                ]
-                for name in bucket.names
-            },
-        )
-
     def _average_replicas(self) -> dict[str, np.ndarray]:
         """Average the diverged replicas at a local-SGD round flush.
 
@@ -275,12 +280,6 @@ class ExecutionEngine(abc.ABC):
                 )
         return averaged
 
-    def _install_params(self, averaged: dict[str, np.ndarray]) -> None:
-        """Overwrite every live replica with the averaged parameters."""
-        for rank in self.live_ranks:
-            for param in self.workers[rank].parameters:
-                np.copyto(param.data, averaged[param.name])
-
     def _complete_round(self) -> None:
         """Account for and advance past one committed micro-step."""
         step_engine = self.step_engine
@@ -291,10 +290,6 @@ class ExecutionEngine(abc.ABC):
                     len(self.live_ranks) * self.per_rank_payload_nbytes
                 )
         step_engine.advance_round()
-
-    def _open_link(self, rank: int) -> LinkClock:
-        """A fresh link for one rank's uploads of one step attempt."""
-        return LinkClock(self._link_bytes_per_s, self.tracer, rank)
 
     def _timed_wait(self, waiter, track: int):
         """Run one blocking rendezvous wait, traced as barrier time.
@@ -338,6 +333,8 @@ class ExecutionEngine(abc.ABC):
     # -- step driving with recovery ---------------------------------------
     def train_step(self, x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
         """One global minibatch; returns (weighted loss, weighted acc)."""
+        if self._failure is not None:
+            raise WorkerFailureError(self._failure)
         step = self._step_index
         self._step_index += 1
         return self._run_step_with_recovery(step, x, y)
@@ -368,56 +365,166 @@ class ExecutionEngine(abc.ABC):
                 metrics = self._attempt_step(step, x, y)
             except AttemptFailure as attempt:
                 failure = attempt.failure
-                if not resilient:
-                    self._latch_failure(failure)
-                    raise WorkerFailureError(failure) from attempt
-                if attempt.committed:
-                    # the survivors already applied this step's update:
-                    # their state is valid and identical, so never
-                    # rewind — either evict the missing rank and count
-                    # the step as done, or abort the run
+                if resilient:
+                    # drain/cleanup first (threaded workers may still be
+                    # inside the aborted attempt)
                     self._recover_attempt(attempt)
-                    if self._can_evict(failure):
-                        self._evict_rank(failure, attempts)
-                        self._complete_round()
-                        return self._collect_metrics()
-                    self._latch_failure(failure)
-                    raise WorkerFailureError(failure) from attempt
-                # drain/cleanup first (threaded workers may still be
-                # inside the aborted attempt), then rewind
-                self._recover_attempt(attempt)
-                self.load_state_dict(snapshot)
-                if attempt.retryable and attempts < self.retry_policy.max_retries:
-                    delay = self._retry_state.backoff_delay(attempts)
-                    attempts += 1
-                    self._retry_state.total_retries += 1
-                    sink = self.tracer.counter_sink
-                    if sink is not None:
-                        sink.count_retry(failure.rank)
-                    if delay > 0:
-                        time.sleep(delay)
-                    continue
-                if self._can_evict(failure):
-                    self._evict_rank(failure, attempts)
-                    attempts = 0
-                    continue
+                    if attempt.committed:
+                        # the survivors already applied this step's
+                        # update: their state is valid and identical, so
+                        # never rewind — either evict the missing rank
+                        # and count the step as done, or abort the run
+                        if self._can_evict(failure):
+                            self._evict_rank(failure, attempts)
+                            self._complete_round()
+                            return self._collect_metrics()
+                    else:
+                        self.load_state_dict(snapshot)
+                        if attempts < self.retry_policy.max_retries:
+                            delay = self._retry_state.backoff_delay(attempts)
+                            attempts += 1
+                            self._retry_state.total_retries += 1
+                            sink = self.tracer.counter_sink
+                            if sink is not None:
+                                sink.count_retry(failure.rank)
+                            if delay > 0:
+                                time.sleep(delay)
+                            continue
+                        if self._can_evict(failure):
+                            self._evict_rank(failure, attempts)
+                            attempts = 0
+                            continue
                 self._latch_failure(failure)
                 raise WorkerFailureError(failure) from attempt
             else:
                 self._complete_round()
                 return metrics
 
-    @abc.abstractmethod
     def _attempt_step(
         self, step: int, x: np.ndarray, y: np.ndarray
     ) -> tuple[float, float]:
-        """One attempt of one step; raises :class:`AttemptFailure`."""
+        """One attempt of one step; raises :class:`AttemptFailure`.
+
+        The whole synchronous step, for every transport.  Until the
+        last bucket is in, a lost rank aborts the attempt, which stays
+        retryable; past the commit point nothing here raises before the
+        verdict is out, and a rank lost after it is a committed failure.
+        """
+        shards = self._shard(x, y)
+        step_engine = self.step_engine
+        sync, local = step_engine.sync_this_step, step_engine.local_updates
+        # skipped round steps put nothing on the wire
+        link = self._link if sync else None
+        scales = self._grad_scales(shards)
+        self._check_lost(step, self._start_ranks(step, shards, scales, link))
+        views = {rank: self._rank_grads(rank) for rank in self.live_ranks}
+        aggregated: dict[str, np.ndarray] = {}
+        for bucket in self.buckets:
+            self._check_lost(step, self._await_bucket(bucket.index))
+            if local:
+                # local SGD consumes whole replicas, not per-bucket
+                # gradients; nothing to do until every backward ends
+                continue
+            names = list(bucket.names)
+            grads = {
+                name: [views[rank][name] for rank in self.live_ranks]
+                for name in names
+            }
+            if sync:
+                aggregated.update(step_engine.aggregate_bucket(names, grads))
+            else:
+                step_engine.accumulate_bucket(names, grads)
+        # the commit point: every rank delivered, so from here replicas
+        # may move in every round mode
+        if local and sync:
+            # a round flush averages the replicas after their last
+            # local step, in rank order, then installs the average
+            for rank in self.live_ranks:
+                with self.tracer.span("compute", rank):
+                    self.workers[rank].settle("local", grads=views[rank])
+            verdict, mean = "install", self._average_replicas()
+        else:
+            verdict = "local" if local else "apply" if sync else "skip"
+            mean = aggregated
+        self._check_lost(
+            step, self._deliver(step, verdict, mean), committed=True
+        )
+        return self._collect_metrics()
+
+    def _check_lost(
+        self, step: int, lost: Lost | None, committed: bool = False
+    ) -> None:
+        """Raise for the ranks a transport lost (``None``: it lost none).
+
+        A rank's own error (a divergence, a bug) propagates with its
+        own type.  Otherwise the lowest rank that stopped — an injected
+        crash or a vanished process — is a ``crash``, failing that the
+        lowest silent rank a ``timeout``.  Before the verdict the
+        attempt is aborted and retryable; after it the survivors
+        already hold the update, so the failure is committed.
+        """
+        if lost is None:
+            return
+        errors = lost.errors
+        if not committed:
+            self._abort(lost)
+        for rank, error in sorted(errors.items()):
+            if error is not None and not isinstance(error, InjectedCrash):
+                raise error
+        if errors:
+            rank, kind = min(errors), "crash"
+            message = str(errors[rank] or "rank died")
+        else:
+            rank, kind = min(lost.silent, default=-1), "timeout"
+            message = f"ranks {sorted(lost.silent)} missed the step deadline"
+        if committed:
+            message = f"rank {rank} lost after the update was applied"
+        raise AttemptFailure(WorkerFailure(rank, step, kind, message), committed)
+
+    # -- transport hooks --------------------------------------------------
+    @abc.abstractmethod
+    def _start_ranks(
+        self,
+        step: int,
+        shards: dict[int, tuple[np.ndarray, np.ndarray]],
+        scales: dict[int, float],
+        link: LinkPlan | None,
+    ) -> Lost | None:
+        """Start every live rank's compute on its shard.
+
+        ``scales`` are the ranks' gradient scales; ``link`` opens each
+        rank's paced uploads (``None``: nothing goes on the wire).
+        """
+
+    def _await_bucket(self, index: int) -> Lost | None:
+        """Block until every live rank's gradients of bucket ``index``
+        are ready and, on a paced link, have arrived.
+
+        A transport whose ranks all finished inside :meth:`_start_ranks`
+        has nothing left to wait for.
+        """
+        return None
+
+    def _rank_grads(self, rank: int) -> Mapping[str, np.ndarray]:
+        """Where the coordinator reads ``rank``'s gradients, by name."""
+        return self.workers[rank].grads
+
+    @abc.abstractmethod
+    def _deliver(
+        self, step: int, verdict: str, mean: dict[str, np.ndarray]
+    ) -> Lost | None:
+        """Have every live rank settle the step's verdict
+        (:meth:`RankWorker.settle`) and meet at the end of the step."""
+
+    def _abort(self, lost: Lost) -> None:
+        """Release every rank still inside an aborted attempt."""
 
     def _recover_attempt(self, attempt: AttemptFailure) -> None:
         """Engine-specific cleanup between attempts (threads, barriers)."""
 
     def _latch_failure(self, failure: WorkerFailure) -> None:
-        """Engine-specific terminal-failure bookkeeping."""
+        """A terminal failure: the engine refuses every further step."""
+        self._failure = failure
 
     def _on_evict(self, rank: int) -> None:
         """Engine-specific eviction cleanup (barriers, threads)."""
@@ -437,11 +544,6 @@ class ExecutionEngine(abc.ABC):
         self.step_engine = self.step_engine.shrink(
             self.live_ranks, self.workers[0].parameters
         )
-        worker = self.workers[rank]
-        worker.error = None
-        worker.loss = None
-        worker.accuracy = None
-        worker.samples = 0
         self._on_evict(rank)
 
     def _evict_rank(self, failure: WorkerFailure, retries: int) -> None:
@@ -549,54 +651,31 @@ class SequentialEngine(ExecutionEngine):
 
     name = "sequential"
 
-    def _attempt_step(
-        self, step: int, x: np.ndarray, y: np.ndarray
-    ) -> tuple[float, float]:
+    def _start_ranks(self, step, shards, scales, link):
         tracer = self.tracer
-        shards = self._shard(x, y)
-        scales = self._grad_scales(shards)
-        sync = self.step_engine.sync_this_step
-        local = self.step_engine.local_updates
         for rank in self.live_ranks:
             worker = self.workers[rank]
-            shard_x, shard_y = shards[rank]
             try:
                 self.fault_plan.inject(rank, step, tracer.counter_sink)
-            except InjectedCrash as exc:
-                raise AttemptFailure(
-                    WorkerFailure(rank, step, "crash", str(exc)),
-                    retryable=True,
-                ) from exc
-            with tracer.span("compute", rank):
-                worker.compute(
-                    shard_x, shard_y, grad_scale=scales.get(rank)
-                )
-            # one thread, one timeline: this rank's upload cannot
-            # overlap anything (skipped round steps put nothing on
-            # the wire)
-            if sync and self._link_bytes_per_s is not None:
-                link = self._open_link(rank)
-                link.reserve(self.per_rank_payload_nbytes)
-                link.drain()
-        # all failure-capable phases are over: from here the attempt
-        # cannot raise, so replica mutation is safe in every round mode
-        if local:
-            for rank in self.live_ranks:
                 with tracer.span("compute", rank):
-                    self.workers[rank].apply_local_updates()
-            if sync:
-                self._install_params(self._average_replicas())
-        elif sync:
-            aggregated: dict[str, np.ndarray] = {}
-            for bucket in self.buckets:
-                aggregated.update(self._exchange_bucket(bucket))
-            for rank in self.live_ranks:
-                with tracer.span("compute", rank):
-                    self.workers[rank].apply_updates(aggregated)
-        else:
-            for bucket in self.buckets:
-                self._accumulate_bucket(bucket)
-        return self._collect_metrics()
+                    worker.compute(
+                        *shards[rank], grad_scale=scales.get(rank)
+                    )
+            except Exception as exc:  # noqa: BLE001 - classified by the step
+                return Lost({rank: exc})
+            if link is not None:
+                # one thread, one timeline: the rank announces its whole
+                # payload after backward and waits for it to land
+                uploads = link.open(tracer, rank)
+                uploads(worker.param_by_name)
+                uploads.link.drain()
+        return None
+
+    def _deliver(self, step, verdict, mean):
+        for rank in self.live_ranks:
+            with self.tracer.span("compute", rank):
+                self.workers[rank].settle(verdict, mean)
+        return None
 
 
 class _StepContext:
@@ -607,27 +686,26 @@ class _StepContext:
         step: int,
         shards: dict[int, tuple[np.ndarray, np.ndarray]],
         tracker: BucketReadiness,
-        grad_scales: dict[int, float] | None = None,
-        participants: list[int] | tuple[int, ...] = (),
-        uploads: dict[int, BucketUploads] | None = None,
+        grad_scales: dict[int, float],
+        participants: list[int],
+        uploads: dict[int, BucketUploads],
     ):
         self.step = step
         self.shards = shards
         self.tracker = tracker
-        self.grad_scales = grad_scales or {}
+        self.grad_scales = grad_scales
         # per-rank paced uploads of this attempt (empty: free wire, or
         # a skipped round step that puts nothing on it)
-        self.uploads = uploads or {}
-        self.aggregated: dict[str, np.ndarray] = {}
+        self.uploads = uploads
+        #: what each rank that stopped raised
+        self.errors: dict[int, BaseException] = {}
+        # the verdict and its arrays, published before apply_ready
+        self.verdict = "skip"
+        self.mean: dict[str, np.ndarray] = {}
         self.apply_ready = threading.Event()
         self.abort = False
-        # periodic synchronization: skip_apply tells workers the
-        # coordinator already settled this step's replica state
-        # (accumulated grads or local-SGD applies/installs), so their
-        # apply phase is a no-op
-        self.skip_apply = False
         # drain tracking: each participant marks itself done when it is
-        # fully out of this step (applied, aborted, or crashed), so the
+        # fully out of this step (settled, aborted, or crashed), so the
         # coordinator can rewind RNG state without racing live workers
         self._pending = set(participants)
         self._lock = threading.Lock()
@@ -660,10 +738,10 @@ class ThreadedEngine(ExecutionEngine):
     (the caller's thread) walks buckets in fixed order, running each
     collective as soon as its last gradient has landed and, on a paced
     link, arrived — overlapping communication with the remaining
-    backward work.  All parties then
-    meet at a reusable :class:`StepBarrier`; a rank that crashes or
-    exceeds ``config.barrier_timeout`` is surfaced as a structured
-    :class:`WorkerFailure` instead of a hang.
+    backward work.  The rank threads then settle the verdict and all
+    parties meet at a reusable :class:`StepBarrier`; a rank that
+    crashes or exceeds ``config.barrier_timeout`` is reported as lost
+    instead of hanging.
     """
 
     name = "threaded"
@@ -676,7 +754,6 @@ class ThreadedEngine(ExecutionEngine):
         self._end_barrier = StepBarrier(
             self.world_size + 1, timeout=config.barrier_timeout
         )
-        self._failure: WorkerFailure | None = None
         self._active_ctx: _StepContext | None = None
         self._threads = [
             threading.Thread(
@@ -715,15 +792,14 @@ class ThreadedEngine(ExecutionEngine):
                             grad_scale=ctx.grad_scales.get(rank),
                         )
                 except BaseException as exc:  # noqa: BLE001 - to main
-                    worker.error = exc
+                    ctx.errors[rank] = exc
                     ctx.tracker.mark_dead(rank)
                     continue
                 self._timed_wait(ctx.apply_ready.wait, rank)
                 if ctx.abort:
                     continue
-                if not ctx.skip_apply:
-                    with tracer.span("compute", rank):
-                        worker.apply_updates(ctx.aggregated)
+                with tracer.span("compute", rank):
+                    worker.settle(ctx.verdict, ctx.mean)
                 try:
                     self._timed_wait(
                         lambda: self._end_barrier.wait(rank), rank
@@ -753,141 +829,53 @@ class ThreadedEngine(ExecutionEngine):
         return on_ready
 
     # -- coordinator side -------------------------------------------------
-    def train_step(self, x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
-        if self._failure is not None:
-            raise WorkerFailureError(self._failure)
-        return super().train_step(x, y)
-
-    def _attempt_step(
-        self, step: int, x: np.ndarray, y: np.ndarray
-    ) -> tuple[float, float]:
-        shards = self._shard(x, y)
-        sync = self.step_engine.sync_this_step
-        local = self.step_engine.local_updates
+    def _start_ranks(self, step, shards, scales, link):
+        live = self.live_ranks
         ctx = _StepContext(
             step,
             shards,
-            BucketReadiness(
-                self.buckets, self.world_size, live_ranks=self.live_ranks
-            ),
-            grad_scales=self._grad_scales(shards),
-            participants=self.live_ranks,
-            uploads=self._open_uploads() if sync else None,
+            BucketReadiness(self.buckets, self.world_size, live_ranks=live),
+            scales,
+            live,
+            {} if link is None else {r: link.open(self.tracer, r) for r in live},
         )
         self._active_ctx = ctx
-        for rank in self.live_ranks:
+        for rank in live:
             self._inbox[rank].put(ctx)
+        return None
+
+    def _await_bucket(self, index):
+        ctx = self._active_ctx
+
+        def wait() -> frozenset[int]:
+            dead = ctx.tracker.wait(index, timeout=self.config.barrier_timeout)
+            if not dead:
+                sleep_until(ctx.arrival_ns(index))
+            return dead
+
         try:
-            for bucket in self.buckets:
-                dead = self._timed_wait(
-                    lambda: self._await_bucket(ctx, bucket.index),
-                    COORDINATOR,
-                )
-                if dead:
-                    self._raise_worker_errors(ctx, sorted(dead))
-                if local:
-                    # local SGD consumes whole replicas, not per-bucket
-                    # gradients; nothing to do until every backward ends
-                    continue
-                if sync:
-                    ctx.aggregated.update(self._exchange_bucket(bucket))
-                else:
-                    self._accumulate_bucket(bucket)
+            dead = self._timed_wait(wait, COORDINATOR)
         except BarrierTimeout as timeout:
-            failure = WorkerFailure(
-                rank=min(timeout.missing, default=-1),
-                step=step,
-                kind="timeout",
-                message=str(timeout),
-            )
-            # nobody applied anything yet: release the workers and let
-            # the recovery loop decide (retry, evict, or abort)
-            self._abort(ctx)
-            raise AttemptFailure(failure, retryable=True) from timeout
-        if local:
-            # every bucket is ready, so every backward pass is done and
-            # the parked workers' replicas are safe to mutate from this
-            # (the coordinator's) thread — same operation order as the
-            # sequential engine: local applies in rank order, then the
-            # bucket-ordered delta exchange, then the install
-            tracer = self.tracer
-            for rank in self.live_ranks:
-                with tracer.span("compute", rank):
-                    self.workers[rank].apply_local_updates()
-            if sync:
-                self._install_params(self._average_replicas())
-            ctx.skip_apply = True
-        elif not sync:
-            ctx.skip_apply = True
+            return Lost({}, timeout.missing)
+        return Lost(dict(ctx.errors)) if dead else None
+
+    def _deliver(self, step, verdict, mean):
+        ctx = self._active_ctx
+        ctx.verdict, ctx.mean = verdict, mean
         ctx.apply_ready.set()
         try:
             self._timed_wait(
                 lambda: self._end_barrier.wait(self.world_size), COORDINATOR
             )
         except BarrierTimeout as timeout:
-            failure = WorkerFailure(
-                rank=min(timeout.missing, default=-1),
-                step=step,
-                kind="timeout",
-                message=str(timeout),
-            )
-            # the ranks that did reach the barrier already applied the
-            # update — the step is committed for the survivors
-            raise AttemptFailure(
-                failure, retryable=False, committed=True
-            ) from timeout
-        return self._collect_metrics()
+            # the ranks that did reach the barrier settled the verdict
+            return Lost({}, timeout.missing)
+        return None
 
-    def _open_uploads(self) -> dict[int, BucketUploads]:
-        """One fresh paced link per live rank (none on a free wire)."""
-        if self._link_bytes_per_s is None:
-            return {}
-        return {
-            rank: BucketUploads(
-                self._open_link(rank),
-                self._bucket_of_name,
-                self.bucket_tx_nbytes,
-            )
-            for rank in self.live_ranks
-        }
-
-    def _await_bucket(self, ctx: _StepContext, index: int) -> frozenset[int]:
-        """Wait for one bucket's gradients, then for its bytes to arrive."""
-        dead = ctx.tracker.wait(index, timeout=self.config.barrier_timeout)
-        if not dead:
-            sleep_until(ctx.arrival_ns(index))
-        return dead
-
-    def _raise_worker_errors(self, ctx: _StepContext, dead: list[int]) -> None:
-        """Convert dead-rank state into the right exception."""
-        for rank in dead:
-            error = self.workers[rank].error
-            if error is not None and not isinstance(error, InjectedCrash):
-                # a real compute error (e.g. divergence) propagates
-                # with its original type, exactly as the sequential
-                # engine raises it from the rank loop
-                self._abort(ctx)
-                self.workers[rank].error = None
-                raise error
-        rank = dead[0]
-        error = self.workers[rank].error
-        failure = WorkerFailure(
-            rank=rank,
-            step=ctx.step,
-            kind="crash",
-            message=str(error) if error is not None else "rank died",
-        )
-        self._abort(ctx)
-        raise AttemptFailure(failure, retryable=True)
-
-    def _abort(self, ctx: _StepContext) -> None:
-        """Release every worker from the step without applying updates."""
+    def _abort(self, lost):
+        ctx = self._active_ctx
         ctx.abort = True
         ctx.apply_ready.set()
-
-    def _latch_failure(self, failure: WorkerFailure) -> None:
-        # a terminally-failed threaded engine refuses further steps
-        self._failure = failure
 
     def _recover_attempt(self, attempt: AttemptFailure) -> None:
         # drain first: workers still inside the aborted attempt may be
@@ -901,11 +889,6 @@ class ThreadedEngine(ExecutionEngine):
                 lambda: ctx.wait_done(timeout=self.config.barrier_timeout),
                 COORDINATOR,
             )
-        # clear injected-crash residue so the next attempt (or the
-        # degraded collective) starts clean; real errors never reach
-        # here — they propagate with their original type
-        for rank in self.live_ranks:
-            self.workers[rank].error = None
         if self._end_barrier.broken:
             self._end_barrier.reset()
 
@@ -930,9 +913,13 @@ class ThreadedEngine(ExecutionEngine):
             pass
 
 
-_ENGINES: dict[str, Callable[..., ExecutionEngine]] = {
+# last: the process engine subclasses ExecutionEngine from this module
+from .process_engine import ProcessEngine  # noqa: E402
+
+_ENGINES: dict[str, type[ExecutionEngine]] = {
     "sequential": SequentialEngine,
     "threaded": ThreadedEngine,
+    "process": ProcessEngine,
 }
 
 
@@ -940,12 +927,6 @@ def make_engine(
     model: Module, config: TrainingConfig, loss_fn: LossFn
 ) -> ExecutionEngine:
     """Construct the execution engine selected by ``config.engine``."""
-    if config.engine == "process" and "process" not in _ENGINES:
-        # deferred: the process engine pulls in multiprocessing and the
-        # shared-memory arena, which the in-process engines never need
-        from .process_engine import ProcessEngine
-
-        _ENGINES["process"] = ProcessEngine
     try:
         engine_cls = _ENGINES[config.engine]
     except KeyError:

@@ -73,7 +73,7 @@ class WorkerFailureError(RuntimeError):
 
 @dataclass(frozen=True)
 class FaultPlan:
-    """Deterministic fault schedule shared by both execution engines.
+    """Deterministic fault schedule shared by every execution engine.
 
     Attributes:
         straggler_ranks: ranks delayed by ``straggler_delay`` seconds

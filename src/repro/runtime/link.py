@@ -22,11 +22,11 @@ from __future__ import annotations
 
 import time
 from collections import Counter
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 from ..telemetry.tracer import NULL_TRACER, TraceEvent
 
-__all__ = ["LinkClock", "BucketUploads", "sleep_until"]
+__all__ = ["LinkClock", "BucketUploads", "LinkPlan", "sleep_until"]
 
 
 def sleep_until(
@@ -102,7 +102,7 @@ class BucketUploads:
         bucket_of_name: Mapping[str, int],
         bucket_nbytes: Mapping[int, int],
     ):
-        self._link = link
+        self.link = link
         self._bucket_of = bucket_of_name
         self._nbytes = bucket_nbytes
         self._owed = Counter(bucket_of_name.values())
@@ -113,6 +113,26 @@ class BucketUploads:
             index = self._bucket_of[name]
             self._owed[index] -= 1
             if self._owed[index] == 0:
-                self.arrivals[index] = self._link.reserve(
+                self.arrivals[index] = self.link.reserve(
                     self._nbytes[index]
                 )
+
+
+class LinkPlan(NamedTuple):
+    """What opening a rank's paced link takes: its rate and the bucket plan.
+
+    The engine builds one per run; the process engine hands it to each
+    rank at spawn, so every transport opens its links here.
+    """
+
+    bytes_per_s: float
+    bucket_of_name: Mapping[str, int]
+    bucket_nbytes: Mapping[int, int]
+
+    def open(self, tracer, rank: int) -> BucketUploads:
+        """A fresh link for one rank's uploads of one step attempt."""
+        return BucketUploads(
+            LinkClock(self.bytes_per_s, tracer, rank),
+            self.bucket_of_name,
+            self.bucket_nbytes,
+        )

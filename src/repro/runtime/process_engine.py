@@ -31,20 +31,26 @@ per-rank quantization RNG streams, which is a different
 draw nothing, so for them rank-side encoding would only have to move
 the error-feedback residuals.
 
-The coordinator keeps its local "shadow" workers: after every
-committed step it loads the rank subtree each worker reported with its
-gradients (``RankWorker.RANK_STATE``: module RNG streams, batchnorm
-running statistics) and applies the same aggregated update to them,
-so evaluation, checkpointing, retry rollbacks, and respawns all read
-ordinary local state.  A killed worker surfaces as a retryable
-:class:`~repro.runtime.resilience.AttemptFailure`; the retry respawns
-the rank from its shadow (parameters, momentum, RNG streams — all
-pre-step, since shadows only advance on success) and replays the step.
-Eviction reshards the survivors through the shared base-class path.
+The step itself is the base class's
+(:meth:`~repro.runtime.engine.ExecutionEngine._attempt_step`); this
+module is its transport.  It gathers every rank's gradients once, lets
+the base walk the buckets over the arena views, and delivers the
+verdict over the pipes.  The coordinator keeps its local "shadow"
+workers: once the ranks answer the verdict, each shadow loads the
+rank subtree its worker reported with its gradients (``RankWorker.RANK_STATE``:
+module RNG streams, batchnorm running statistics) and settles the same
+verdict, so evaluation, checkpointing, retry rollbacks, and respawns
+all read ordinary local state.  A killed worker surfaces as a
+retryable :class:`~repro.runtime.resilience.AttemptFailure`; the retry
+respawns the rank from its shadow (parameters, momentum, RNG streams —
+all pre-step, since shadows only advance on success) and replays the
+step.  Eviction reshards the survivors through the shared base-class
+path.
 
-On a paced link (``TrainingConfig.link_gbps``) each worker reserves
-its own :class:`~repro.runtime.link.LinkClock` bucket by bucket from
-its backward's readiness hook and sleeps out only the residual before
+On a paced link (``TrainingConfig.link_gbps``) each worker opens its
+link from the engine's :class:`~repro.runtime.link.LinkPlan`, handed
+over at spawn: it reserves the link bucket by bucket from its
+backward's readiness hook and sleeps out only the residual before
 announcing its gradients, so a rank's wire time hides behind its own
 backward.
 
@@ -72,11 +78,8 @@ from multiprocessing import connection as mp_connection
 import numpy as np
 
 from ..telemetry.tracer import COORDINATOR, NULL_TRACER, TraceEvent, Tracer
-from ..units import gbps_to_bytes_per_second
-from .engine import ExecutionEngine
-from .faults import FaultPlan, InjectedCrash, WorkerFailure, WorkerFailureError
-from .link import BucketUploads, LinkClock
-from .resilience import AttemptFailure
+from .engine import ExecutionEngine, Lost
+from .faults import FaultPlan
 from .shm import GradientArena, arena_slots
 from .worker import LossFn, RankWorker
 
@@ -182,23 +185,12 @@ def _child_main(
     arena_name: str,
     slots: list,
     world_size: int,
-    model,
-    velocity: dict,
-    lr: float,
-    config,
-    loss_fn: LossFn,
-    bucket_of_name: dict,
-    bucket_nbytes: dict,
-    trace_enabled: bool,
-    kills_fired: frozenset,
+    *serve_args,
 ) -> None:  # pragma: no cover - runs in spawned worker processes
     """Entry point of one rank's worker process."""
     arena = GradientArena.attach(arena_name, slots, world_size)
     try:
-        _serve(
-            rank, conn, arena, model, velocity, lr, config, loss_fn,
-            bucket_of_name, bucket_nbytes, trace_enabled, kills_fired,
-        )
+        _serve(rank, conn, arena, *serve_args)
     except (EOFError, OSError, KeyboardInterrupt):
         pass
     finally:
@@ -207,8 +199,8 @@ def _child_main(
 
 
 def _serve(
-    rank, conn, arena, model, velocity, lr, config, loss_fn,
-    bucket_of_name, bucket_nbytes, trace_enabled, kills_fired,
+    rank, conn, arena, model, velocity, lr, config, loss_fn, link,
+    trace_enabled, kills_fired,
 ) -> None:  # pragma: no cover - runs in spawned worker processes
     worker = RankWorker(
         rank,
@@ -229,11 +221,6 @@ def _serve(
     } - set(kills_fired)
     grad_views = arena.rank_views(rank)
     mean_views = arena.mean_views()
-    link_rate = (
-        None
-        if config.link_gbps is None or config.world_size < 2
-        else gbps_to_bytes_per_second(config.link_gbps)
-    )
     tracer = Tracer() if trace_enabled else NULL_TRACER
     while True:
         msg = conn.recv()
@@ -246,13 +233,9 @@ def _serve(
         if cmd == "abort":
             # stale release of a step this rank already bailed from
             continue
-        step, shard_x, shard_y, scale = msg[1], msg[2], msg[3], msg[4]
-        # periodic synchronization: skipped round steps exchange nothing,
-        # so their uploads are never paced
-        link = uploads = None
-        if msg[5] and link_rate is not None:
-            link = LinkClock(link_rate, tracer, rank)
-            uploads = BucketUploads(link, bucket_of_name, bucket_nbytes)
+        step, shard_x, shard_y, scale, paced = msg[1:]
+        # skipped round steps exchange nothing, so they are never paced
+        uploads = link.open(tracer, rank) if paced else None
         # what this rank's forward pass moves; an attempt that does not
         # commit reloads it, exactly as the coordinator rolls back its
         # own STEP_MUTABLE subtree
@@ -267,22 +250,16 @@ def _serve(
                 worker.compute(
                     shard_x, shard_y, on_ready=uploads, grad_scale=scale
                 )
-        except InjectedCrash as exc:
-            worker.load_state_dict(pre_step)
-            spans, stall = _drain_telemetry(tracer)
-            conn.send(("fail", "crash", str(exc), spans, stall))
-            continue
         except BaseException as exc:  # noqa: BLE001 - shipped to parent
             worker.load_state_dict(pre_step)
-            conn.send(("error", exc))
+            conn.send(("error", exc, *_drain_telemetry(tracer)))
             continue
         for param in worker.parameters:
             np.copyto(grad_views[param.name], param.grad)
-        if link is not None:
+        if uploads is not None:
             # every bucket was queued on the link as backward produced
             # it; only the wire time backward did not cover is left
-            link.drain()
-        spans, stall = _drain_telemetry(tracer)
+            uploads.link.drain()
         conn.send(
             (
                 "grads",
@@ -292,37 +269,20 @@ def _serve(
                 # the rank subtree the forward moved: the shadow replica
                 # loads it at commit, or coordinator-side evaluation and
                 # checkpoints drift.  Never parameters — those reach the
-                # shadow as the same aggregated update
+                # shadow through the same verdict
                 worker.state_dict(RankWorker.RANK_STATE),
-                spans,
-                stall,
+                *_drain_telemetry(tracer),
             )
         )
-        verdict = conn.recv()
-        kind = verdict[0]
-        if kind not in ("apply", "skip", "local", "install"):
-            # "abort": the coordinator tore the attempt down
+        verdict = conn.recv()[0]
+        if verdict == "abort":
+            # the coordinator tore the attempt down
             worker.load_state_dict(pre_step)
             continue
-        if kind == "apply":
-            # classic path: install the aggregated gradient mean
-            with tracer.span("compute", rank):
-                worker.apply_updates(mean_views)
-        elif kind == "local":
-            # local SGD, mid-round: step on this rank's own gradients
-            with tracer.span("compute", rank):
-                worker.apply_local_updates()
-        elif kind == "install":
-            # local SGD, round flush: take the last local step, then
-            # adopt the averaged parameters the coordinator published
-            # through the mean slot
-            with tracer.span("compute", rank):
-                worker.apply_local_updates()
-                for param in worker.parameters:
-                    np.copyto(param.data, mean_views[param.name])
-        # "skip" (accumulating mid-round): the replica does not move
-        spans, _ = _drain_telemetry(tracer)
-        conn.send(("done", spans))
+        # "apply" and "install" read the arena's mean slot
+        with tracer.span("compute", rank):
+            worker.settle(verdict, mean_views)
+        conn.send(("done", *_drain_telemetry(tracer)))
 
 
 # -- coordinator side -------------------------------------------------------
@@ -377,15 +337,20 @@ class ProcessEngine(ExecutionEngine):
         self._kills_fired: set[tuple[int, int]] = set()
         self._needs_respawn: set[int] = set()
         self._undrained: set[int] = set()
-        self._failure: WorkerFailure | None = None
+        #: this attempt's "grads" messages, held until the verdict
+        self._payloads: dict[int, tuple] = {}
 
     # -- lifecycle --------------------------------------------------------
     def _ensure_started(self) -> None:
-        """Lazily allocate the arena and spawn missing live workers.
+        """Make every live rank ready for a step attempt.
 
-        Spawning on first step (not construction) means a checkpoint
-        restore always lands in the shadows *before* any worker
-        exists, so the spawned replicas inherit the restored state.
+        Allocates the arena on first use, absorbs what the last aborted
+        attempt left in the pipes, and (re)spawns every live rank
+        without a process — a dead rank from its shadow, so a retry
+        replays the exact step.  Spawning on first step (not
+        construction) means a checkpoint restore always lands in the
+        shadows *before* any worker exists, so the spawned replicas
+        inherit the restored state.
         """
         if self._arena is None:
             shapes = {
@@ -399,6 +364,10 @@ class ProcessEngine(ExecutionEngine):
                 for rank in range(self.world_size)
             }
             self._mean_views = self._arena.mean_views()
+        self._drain_stragglers()
+        for rank in sorted(self._needs_respawn):
+            self._reap(rank, timeout=1.0)
+        self._needs_respawn.clear()
         for rank in self.live_ranks:
             if rank not in self._procs:
                 self._spawn_rank(rank)
@@ -420,8 +389,7 @@ class ProcessEngine(ExecutionEngine):
                 shadow.optimizer.lr,
                 self._child_config,
                 self._loss_fn,
-                self._bucket_of_name,
-                self.bucket_tx_nbytes,
+                self._link,
                 self.tracer.enabled,
                 frozenset(self._kills_fired),
             ),
@@ -447,14 +415,15 @@ class ProcessEngine(ExecutionEngine):
         if conn is not None:
             conn.close()
 
+    def _tell(self, rank: int, msg: tuple) -> None:
+        """Send a control message to a rank that may already be gone."""
+        with contextlib.suppress(BrokenPipeError, OSError):
+            self._conns[rank].send(msg)
+
     def _stop_workers(self) -> None:
         for rank in list(self._procs):
-            proc = self._procs[rank]
-            if proc.is_alive():
-                try:
-                    self._conns[rank].send(("stop",))
-                except (BrokenPipeError, OSError):  # pragma: no cover
-                    pass
+            if self._procs[rank].is_alive():
+                self._tell(rank, ("stop",))
             self._reap(rank)
         self._undrained.clear()
         self._needs_respawn.clear()
@@ -492,190 +461,78 @@ class ProcessEngine(ExecutionEngine):
             if conn is not None:
                 conn.send(("lr", lr))
 
-    # -- step driving -----------------------------------------------------
-    def train_step(self, x, y):
-        if self._failure is not None:
-            raise WorkerFailureError(self._failure)
-        return super().train_step(x, y)
-
-    def _attempt_step(self, step: int, x, y):
+    # -- transport hooks --------------------------------------------------
+    def _start_ranks(self, step, shards, scales, link):
         self._ensure_started()
-        shards = self._shard(x, y)
-        scales = self._grad_scales(shards)
-        sync = self.step_engine.sync_this_step
-        local = self.step_engine.local_updates
         for rank in self.live_ranks:
             shard_x, shard_y = shards[rank]
             self._conns[rank].send(
-                ("step", step, shard_x, shard_y, scales.get(rank), sync)
+                ("step", step, shard_x, shard_y, scales.get(rank),
+                 link is not None)
             )
+        # one rendezvous for the whole backward: every arena slot is
+        # complete before the bucket walk starts, so no bucket waits
+        outcome = self._gather(step)
+        errors = {rank: None for rank in outcome.dead}
+        for rank, msg in outcome.messages.items():
+            if msg[0] == "error":
+                errors[rank] = msg[1]
+        if errors or outcome.missing:
+            return Lost(errors, outcome.missing)
+        self._payloads = outcome.messages
+        return None
+
+    def _rank_grads(self, rank):
+        return self._grad_views[rank]
+
+    def _deliver(self, step, verdict, mean):
+        for name, array in mean.items():
+            np.copyto(self._mean_views[name], array)
+        for rank in self.live_ranks:
+            self._conns[rank].send((verdict,))
+        done = self._gather(step)
+        # every rank that answered settled the verdict, and one lost now
+        # is a committed failure: the shadows follow suit either way
+        payloads, self._payloads = self._payloads, {}
+        for rank in self.live_ranks:
+            _, loss, accuracy, samples, rank_state, *_ = payloads[rank]
+            shadow = self.workers[rank]
+            shadow.loss, shadow.accuracy = loss, accuracy
+            shadow.samples = samples
+            shadow.load_state_dict(rank_state)
+            shadow.settle(verdict, mean, self._grad_views[rank])
+        if done.complete:
+            return None
+        return Lost({rank: None for rank in done.dead}, done.missing)
+
+    def _abort(self, lost):
+        """Release the surviving participants of an aborted attempt.
+
+        Responders are parked waiting for a verdict; silent ranks will
+        deliver one stale message first (drained before the next
+        attempt) and then see the abort — both reload their pre-step
+        rank state worker-side.
+        """
+        for rank in self.live_ranks:
+            if rank not in lost.errors:
+                self._tell(rank, ("abort",))
+
+    def _gather(self, step: int) -> _Rendezvous:
+        """One message from every live rank; notes who died or hung."""
         outcome = self._timed_wait(
             lambda: self._barrier.gather(
                 self._conns, self._procs, set(self.live_ranks)
             ),
             COORDINATOR,
         )
-        payloads = self._classify_grads(step, outcome)
-        # from here the attempt is committed on verdict delivery: pick
-        # the verdict matching the round mode and settle the shadows
-        aggregated: dict[str, np.ndarray] | None = None
-        if local:
-            # advance each shadow on its own rank's gradients (from the
-            # arena) so the round deltas are computable coordinator-side
-            # — bit-equal to the worker's local step (momentum is 0, so
-            # there is no optimizer state to diverge)
-            for rank in self.live_ranks:
-                self.workers[rank].apply_updates(self._grad_views[rank])
-            if sync:
-                averaged = self._average_replicas()
-                for name, avg in averaged.items():
-                    np.copyto(self._mean_views[name], avg)
-                self._install_params(averaged)
-                verdict = ("install", step)
-            else:
-                verdict = ("local", step)
-        elif sync:
-            aggregated = {}
-            for bucket in self.buckets:
-                aggregated.update(
-                    self.step_engine.aggregate_bucket(
-                        list(bucket.names),
-                        {
-                            name: [
-                                self._grad_views[rank][name]
-                                for rank in self.live_ranks
-                            ]
-                            for name in bucket.names
-                        },
-                    )
-                )
-            for name, mean in aggregated.items():
-                np.copyto(self._mean_views[name], mean)
-            verdict = ("apply", step)
-        else:
-            for bucket in self.buckets:
-                self.step_engine.accumulate_bucket(
-                    list(bucket.names),
-                    {
-                        name: [
-                            self._grad_views[rank][name]
-                            for rank in self.live_ranks
-                        ]
-                        for name in bucket.names
-                    },
-                )
-            verdict = ("skip", step)
-        for rank in self.live_ranks:
-            self._conns[rank].send(verdict)
-        done = self._timed_wait(
-            lambda: self._barrier.gather(
-                self._conns, self._procs, set(self.live_ranks)
-            ),
-            COORDINATOR,
-        )
-        unexpected = []
-        for rank in sorted(done.messages):
-            msg = done.messages[rank]
-            if msg[0] == "done":
-                self._merge_telemetry(msg[1], 0.0)
-            else:  # pragma: no cover - defensive
-                unexpected.append(rank)
-        # the ranks that did reach "done" applied the update: commit
-        # the shadows to match before any failure handling, exactly as
-        # the threaded engine treats an end-barrier timeout
-        self._commit_shadows(payloads, aggregated)
-        bad = sorted(
-            set(done.dead) | set(done.missing) | set(unexpected)
-        )
-        if bad:
-            rank = bad[0]
-            self._needs_respawn.update(done.dead)
-            self._undrained |= set(done.missing)
-            for dead_rank in done.dead:
-                self._note_kill_fired(dead_rank, step)
-            kind = "crash" if rank in done.dead else "timeout"
-            raise AttemptFailure(
-                WorkerFailure(
-                    rank,
-                    step,
-                    kind,
-                    f"rank {rank} lost after the update was applied",
-                ),
-                retryable=False,
-                committed=True,
-            )
-        return self._collect_metrics()
-
-    def _classify_grads(
-        self, step: int, outcome: _Rendezvous
-    ) -> dict[int, tuple]:
-        """Sort the compute-phase arrivals; raise unless all delivered."""
-        payloads: dict[int, tuple] = {}
-        fails: dict[int, tuple] = {}
-        errors: dict[int, tuple] = {}
         for rank in sorted(outcome.messages):
-            msg = outcome.messages[rank]
-            kind = msg[0]
-            if kind == "grads":
-                payloads[rank] = msg
-                self._merge_telemetry(msg[5], msg[6])
-            elif kind == "fail":
-                fails[rank] = msg
-                self._merge_telemetry(msg[3], msg[4])
-            else:
-                errors[rank] = msg
-        if errors:
-            # a real compute error (e.g. divergence) propagates with
-            # its original type, like the other engines; release every
-            # parked responder first so the pipes end the step clean
-            self._abort_step(step, list(payloads), outcome.missing)
-            self._drain_stragglers()
-            raise errors[min(errors)][1]
-        failure: WorkerFailure | None = None
-        for rank in sorted(fails):
-            msg = fails[rank]
-            failure = WorkerFailure(rank, step, msg[1], msg[2])
-            break
+            self._merge_telemetry(*outcome.messages[rank][-2:])
         for rank in outcome.dead:
-            self._note_kill_fired(rank, step)
             self._needs_respawn.add(rank)
-            if failure is None:
-                failure = WorkerFailure(
-                    rank, step, "crash", "worker process died"
-                )
-        if failure is None and outcome.missing:
-            failure = WorkerFailure(
-                rank=min(outcome.missing),
-                step=step,
-                kind="timeout",
-                message=(
-                    f"ranks {sorted(outcome.missing)} missed the "
-                    "step deadline"
-                ),
-            )
-        if failure is None:
-            return payloads
-        self._abort_step(step, list(payloads), outcome.missing)
-        raise AttemptFailure(failure, retryable=True)
-
-    def _abort_step(
-        self, step: int, responders: list[int], silent
-    ) -> None:
-        """Release every surviving participant from an aborted step.
-
-        Responders are parked waiting for a verdict; silent ranks will
-        deliver one stale message first and then see the abort — both
-        reload their pre-step rank state worker-side.
-        """
-        for rank in list(responders) + list(silent):
-            conn = self._conns.get(rank)
-            if conn is None:
-                continue
-            try:
-                conn.send(("abort", step))
-            except (BrokenPipeError, OSError):  # pragma: no cover
-                pass
-        self._undrained |= set(silent)
+            if (rank, step) in self._kill_points:
+                self._kills_fired.add((rank, step))
+        self._undrained.update(outcome.missing)
+        return outcome
 
     def _drain_stragglers(self) -> None:
         """Absorb the stale message each aborted silent rank still owes.
@@ -694,77 +551,29 @@ class ProcessEngine(ExecutionEngine):
             remaining = max(0.0, deadline - time.monotonic())
             try:
                 if conn.poll(remaining):
-                    msg = conn.recv()
-                    if msg[0] == "grads":
-                        self._merge_telemetry(msg[5], msg[6])
-                    elif msg[0] == "fail":
-                        self._merge_telemetry(msg[3], msg[4])
-                elif proc.is_alive():  # pragma: no cover - hung worker
+                    self._merge_telemetry(*conn.recv()[-2:])
+                    continue
+                if proc.is_alive():  # pragma: no cover - hung worker
                     proc.terminate()
-                    self._needs_respawn.add(rank)
-                else:
-                    self._needs_respawn.add(rank)
             except (EOFError, OSError):  # pragma: no cover
-                self._needs_respawn.add(rank)
-
-    def _recover_attempt(self, attempt: AttemptFailure) -> None:
-        self._drain_stragglers()
-        for rank in self.live_ranks:
-            self.workers[rank].error = None
-        if not attempt.committed:
-            # respawn dead live ranks from their shadows (pre-step
-            # parameters, momentum, and RNG streams) so the retry
-            # replays the exact step; a committed failure's lost rank
-            # is headed for eviction instead
-            for rank in sorted(self._needs_respawn):
-                self._needs_respawn.discard(rank)
-                self._reap(rank, timeout=1.0)
-                if rank in self.live_ranks:
-                    self._spawn_rank(rank)
-
-    def _latch_failure(self, failure: WorkerFailure) -> None:
-        self._failure = failure
+                pass
+            self._needs_respawn.add(rank)
 
     def _on_evict(self, rank: int) -> None:
         self._needs_respawn.discard(rank)
+        silent = rank in self._undrained
         self._undrained.discard(rank)
         proc = self._procs.get(rank)
         if proc is None:
             return
-        if proc.is_alive():
-            try:
-                self._conns[rank].send(("stop",))
-            except (BrokenPipeError, OSError):  # pragma: no cover
-                pass
+        if silent:
+            # it owes a stale message it may never send: do not wait
+            proc.terminate()
+        elif proc.is_alive():
+            self._tell(rank, ("stop",))
         self._reap(rank, timeout=2.0)
 
-    # -- shadow/telemetry bookkeeping -------------------------------------
-    def _commit_shadows(
-        self,
-        payloads: dict[int, tuple],
-        aggregated: dict[str, np.ndarray] | None,
-    ) -> None:
-        """Advance the local mirrors to the workers' post-step state.
-
-        ``aggregated`` is ``None`` when the step left no shared mean to
-        apply — an accumulating mid-round step (replicas do not move) or
-        a local-SGD step (the shadows were advanced before the verdicts
-        went out).
-        """
-        for rank in self.live_ranks:
-            msg = payloads[rank]
-            shadow = self.workers[rank]
-            shadow.loss = msg[1]
-            shadow.accuracy = msg[2]
-            shadow.samples = msg[3]
-            shadow.load_state_dict(msg[4])
-            if aggregated is not None:
-                shadow.apply_updates(aggregated)
-
-    def _note_kill_fired(self, rank: int, step: int) -> None:
-        if (rank, step) in self._kill_points:
-            self._kills_fired.add((rank, step))
-
+    # -- telemetry --------------------------------------------------------
     def _merge_telemetry(self, spans, stall: float) -> None:
         if not self.tracer.enabled:
             return

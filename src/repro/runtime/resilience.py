@@ -51,21 +51,15 @@ class AttemptFailure(Exception):
 
     Attributes:
         failure: the structured diagnosis of the attempt.
-        retryable: whether re-running the step from the pre-step
-            snapshot is sound (no rank applied an update).
         committed: whether the surviving ranks already applied the
-            step's update (end-of-step barrier timeout); the step
+            step's update (a rank lost after the verdict); the step
             counts as done for them, so recovery must not rewind.
+            Otherwise no rank applied anything, and re-running the
+            step from the pre-step snapshot is sound.
     """
 
-    def __init__(
-        self,
-        failure: WorkerFailure,
-        retryable: bool,
-        committed: bool = False,
-    ):
+    def __init__(self, failure: WorkerFailure, committed: bool = False):
         self.failure = failure
-        self.retryable = retryable
         self.committed = committed
         super().__init__(str(failure))
 

@@ -9,14 +9,16 @@ the synchronous-SGD invariant, asserted by the runtime tests.
 
 The worker is engine-agnostic: the sequential engine calls
 :meth:`RankWorker.compute` inline in rank order, the threaded engine
-calls it from a dedicated thread.  Bit-identity between the two falls
-out of both engines running this exact code per rank.
+from a dedicated thread, the process engine in the rank's own process;
+every engine then carries out the step's verdict through
+:meth:`RankWorker.settle`.  Bit-identity between the engines falls out
+of all of them running this exact code per rank.
 """
 
 from __future__ import annotations
 
 import copy
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -165,7 +167,6 @@ class RankWorker:
         self.loss: float | None = None
         self.accuracy: float | None = None
         self.samples: int = 0
-        self.error: BaseException | None = None
 
     # -- state tree -------------------------------------------------------
     def state_dict(
@@ -299,16 +300,35 @@ class RankWorker:
                 on_ready([p.name for p in self.parameters])
 
     # -- update phase -----------------------------------------------------
-    def apply_updates(self, aggregated: dict[str, np.ndarray]) -> None:
+    def apply_updates(self, aggregated: Mapping[str, np.ndarray]) -> None:
         """Apply the aggregated gradients to this rank's replica."""
         for param in self.parameters:
             self.optimizer.apply(param, aggregated[param.name])
 
-    def apply_local_updates(self) -> None:
-        """Step this rank's replica on its own gradients (local SGD)."""
-        for param in self.parameters:
-            self.optimizer.apply(param, param.grad)
+    def settle(
+        self,
+        verdict: str,
+        mean: Mapping[str, np.ndarray] | None = None,
+        grads: Mapping[str, np.ndarray] | None = None,
+    ) -> None:
+        """Carry out one step's verdict on this replica.
 
-    def gradient(self, name: str) -> np.ndarray:
-        """This rank's gradient buffer for one parameter."""
-        return self.param_by_name[name].grad
+        ``apply``: step on the aggregated gradient ``mean``.  ``local``
+        (local SGD): step on this rank's own gradients — ``grads``
+        where they are held, by default its own buffers.
+        ``install`` (local SGD, round flush): adopt the averaged
+        parameters ``mean``.  ``skip`` (accumulating mid-round): the
+        replica does not move.
+        """
+        if verdict == "apply":
+            self.apply_updates(mean)
+        elif verdict == "local":
+            self.apply_updates(self.grads if grads is None else grads)
+        elif verdict == "install":
+            for param in self.parameters:
+                np.copyto(param.data, mean[param.name])
+
+    @property
+    def grads(self) -> dict[str, np.ndarray]:
+        """This rank's gradient buffers, by parameter name."""
+        return {param.name: param.grad for param in self.parameters}

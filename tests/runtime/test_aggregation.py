@@ -322,7 +322,23 @@ class TestEvictionMidRound:
         )
         assert len(history.epochs) == 2
 
-    def test_engines_agree_after_mid_round_eviction(self, dataset):
+    @pytest.mark.parametrize("engine", CONCURRENT_ENGINES)
+    @pytest.mark.parametrize(
+        "sync",
+        [
+            {},
+            dict(
+                scheme="1bit",
+                exchange="mpi",
+                sync_mode="local_sgd",
+                momentum=0.0,
+            ),
+        ],
+        ids=["allreduce", "local_sgd"],
+    )
+    def test_engines_agree_after_mid_round_eviction(
+        self, dataset, sync, engine
+    ):
         kw = dict(
             world_size=3,
             aggregation_frequency=4,
@@ -331,10 +347,11 @@ class TestEvictionMidRound:
             max_retries=1,
             retry_backoff=0.0,
             allow_degraded=True,
+            **sync,
         )
         assert_identical(
             run(dataset, engine="sequential", **kw),
-            run(dataset, engine="threaded", **kw),
+            run(dataset, engine=engine, **kw),
         )
 
 

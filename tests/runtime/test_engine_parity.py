@@ -76,12 +76,18 @@ def assert_identical(run_a, run_b):
 
 #: the engines that must reproduce the sequential trajectory bit for bit
 CONCURRENT_ENGINES = ["threaded", "process"]
+#: (exchange, world size, engine) cells of the scheme grid; the process
+#: engine's alltoall cells live in test_process_engine.py
+GRID = [
+    (exchange, world_size, engine)
+    for engine in CONCURRENT_ENGINES
+    for world_size in (1, 2, 4)
+    for exchange in ("mpi", "nccl")
+] + [("alltoall", 4, "threaded")]
 
 
 class TestEngineParity:
-    @pytest.mark.parametrize("engine", CONCURRENT_ENGINES)
-    @pytest.mark.parametrize("world_size", [1, 2, 4])
-    @pytest.mark.parametrize("exchange", ["mpi", "nccl"])
+    @pytest.mark.parametrize("exchange, world_size, engine", GRID)
     @pytest.mark.parametrize(
         "scheme",
         ["32bit", "1bit", "qsgd4", "terngrad", "dettmers8", "dettmers8c"],

@@ -423,15 +423,15 @@ class TestProcessEngineResilience:
         model = tiny_alexnet(num_classes=4, image_size=8, seed=1)
         with ParallelTrainer(model, config) as trainer:
             engine = trainer.engine
-            classify = engine._classify_grads
+            start = engine._start_ranks
             gather = engine._barrier.gather
             gathers = {"count": 0}
 
-            def classify_and_freeze(step, outcome):
-                payloads = classify(step, outcome)
+            def start_and_freeze(step, *args):
+                lost = start(step, *args)  # every rank's gradients are in
                 if step == 1:
                     os.kill(engine._procs[1].pid, signal.SIGSTOP)
-                return payloads
+                return lost
 
             def gather_and_kill(conns, procs, pending):
                 gathers["count"] += 1
@@ -441,7 +441,7 @@ class TestProcessEngineResilience:
                     proc.join()
                 return gather(conns, procs, pending)
 
-            engine._classify_grads = classify_and_freeze
+            engine._start_ranks = start_and_freeze
             engine._barrier.gather = gather_and_kill
             history = trainer.fit(
                 dataset.train_x,

@@ -365,9 +365,18 @@ class TestEviction:
         assert not history.topology_changes
 
     def test_straggler_beyond_timeout_evicted_as_timeout(self, dataset):
+        self._assert_straggler_evicted_as_timeout(dataset, "threaded")
+
+    def test_process_straggler_beyond_timeout_evicted_as_timeout(
+        self, dataset
+    ):
+        self._assert_straggler_evicted_as_timeout(dataset, "process")
+
+    @staticmethod
+    def _assert_straggler_evicted_as_timeout(dataset, engine):
         history, _, _ = run(
             dataset,
-            "threaded",
+            engine,
             epochs=1,
             barrier_timeout=0.3,
             straggler_ranks=(1,),
