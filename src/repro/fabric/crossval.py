@@ -5,7 +5,7 @@ reality: at K=4 (the largest world the live engines run comfortably)
 a measured :class:`~repro.telemetry.export.PhaseBreakdown` is compared
 against a prediction whose *communicate* term comes from the fabric's
 event-driven link simulation of the same payload — the live model's
-gradient elements, encoded by the same scheme, shipped over links
+gradient elements, encoded by the same scheme, shipped over uplinks
 paced at the same ``link_gbps`` the engine's exchange sleeps on.
 
 Compute and quantize cannot be predicted by a network simulator, so
@@ -24,6 +24,7 @@ aggregate rank-seconds before the shares are formed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 from ..telemetry.crossval import (
@@ -98,13 +99,25 @@ class FabricCrossValidation:
 
 
 def _paced_topology(world_size: int, link_gbps: float) -> FabricTopology:
-    """Single-node star whose links run at the engine's paced rate."""
-    cls = LinkClass("paced", link_gbps, 0.0)
+    """Single-node star paced the way the engine paces its ranks.
+
+    The live engine gives each rank one *upload* link at ``link_gbps``
+    (:mod:`repro.runtime.link`); receiving is never paced.  So each
+    GPU's uplink to the switch runs at that rate and the switch's
+    downlinks are unconstrained — pacing them too would charge the
+    fabric a second store-and-forward hop the measurement never has.
+    """
+    uplink = LinkClass("paced", link_gbps, 0.0)
+    downlink = LinkClass("unpaced", math.inf, 0.0)
     base = single_node(world_size)
     return replace(
         base,
         links={
-            key: Link(link.src, link.dst, cls)
+            key: Link(
+                link.src,
+                link.dst,
+                uplink if link.src.startswith("gpu") else downlink,
+            )
             for key, link in base.links.items()
         },
     )

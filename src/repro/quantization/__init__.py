@@ -14,6 +14,7 @@ from .base import (
     ErrorFeedback,
     Quantizer,
 )
+from .bucketed import BucketedCodec
 from .bucketing import (
     BucketPlan,
     bucket_count,
@@ -43,6 +44,7 @@ __all__ = [
     "EncodedTensor",
     "ErrorFeedback",
     "Quantizer",
+    "BucketedCodec",
     "FullPrecision",
     "OneBitSgd",
     "OneBitSgdReshaped",

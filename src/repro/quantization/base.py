@@ -14,7 +14,6 @@ in every reproduced figure are measured, never assumed.
 
 from __future__ import annotations
 
-import abc
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -30,7 +29,6 @@ __all__ = [
     "Quantizer",
     "ErrorFeedback",
     "SumDecoder",
-    "BucketSumDecoder",
     "MESSAGE_HEADER_BYTES",
 ]
 
@@ -85,11 +83,14 @@ class EncodedTensor:
         return 8.0 * self.nbytes / count
 
 
-class Quantizer(abc.ABC):
+class Quantizer:
     """Encode/Decode pair for gradient communication.
 
     Subclasses must be deterministic given the same ``rng`` state so
-    that multi-rank training runs are reproducible.
+    that multi-rank training runs are reproducible.  A codec defines
+    either form of each half -- ``encode_into`` or ``encode``,
+    ``decode_into`` or ``decode`` -- and inherits the other; defining
+    neither is a ``TypeError`` when the class is created.
     """
 
     #: short scheme identifier used in reports ("32bit", "qsgd4", ...)
@@ -99,15 +100,31 @@ class Quantizer(abc.ABC):
     #: whether the scheme needs the trainer to run error feedback
     requires_error_feedback: bool = False
 
-    @abc.abstractmethod
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        for plain, into in (("encode", "encode_into"), ("decode", "decode_into")):
+            if all(
+                getattr(cls, form) is getattr(Quantizer, form)
+                for form in (plain, into)
+            ):
+                raise TypeError(
+                    f"{cls.__name__} must define {into}() or {plain}()"
+                )
+
     def encode(
         self, grad: np.ndarray, rng: np.random.Generator | None = None
     ) -> EncodedTensor:
-        """Quantize ``grad`` into a wire message."""
+        """Quantize ``grad`` into a wire message.
 
-    @abc.abstractmethod
+        The allocating form of :meth:`encode_into`: the workspace form
+        run over a throwaway arena, so the message owns its buffers.
+        """
+        return self.encode_into(grad, rng, EncodeWorkspace())
+
     def decode(self, message: EncodedTensor) -> np.ndarray:
         """Reconstruct the (approximate) gradient from a message."""
+        out = np.empty(message.shape, dtype=np.float32)
+        return self.decode_into(message, out, workspace=EncodeWorkspace())
 
     def encode_into(
         self,
@@ -120,9 +137,7 @@ class Quantizer(abc.ABC):
         The returned message's payload may alias arena buffers: it is
         valid until the next ``encode_into`` on the same workspace (see
         the lifetime contract in :mod:`repro.quantization.workspace`).
-        Schemes with a zero-allocation kernel override this; the
-        default falls back to the allocating :meth:`encode`, so every
-        scheme supports the out-parameter calling convention.
+        A codec that defines only :meth:`encode` gets this form from it.
         """
         return self.encode(grad, rng)
 
@@ -140,7 +155,8 @@ class Quantizer(abc.ABC):
         are computed exactly as :meth:`decode` computes them and the
         accumulation preserves the operand order — but performs no
         full-tensor temporaries when the scheme provides a workspace
-        kernel.  The default delegates to :meth:`decode`.
+        kernel.  A codec that defines only :meth:`decode` gets this
+        form from it.
         """
         decoded = self.decode(message)
         if accumulate:
@@ -176,8 +192,9 @@ class Quantizer(abc.ABC):
         """Wire size for a gradient of ``shape`` without encoding it.
 
         The default implementation encodes a zero tensor, which is
-        exact for every fixed-rate scheme in this package.  The
-        simulator uses this to cost paper-scale layers cheaply.
+        exact for every fixed-rate scheme.  The in-tree codecs override
+        it with a closed form: the simulator and the fabric cost every
+        layer and chunk through it.
         """
         zero = np.zeros(shape, dtype=np.float32)
         return self.encode(zero, np.random.default_rng(0)).nbytes
@@ -205,8 +222,8 @@ class SumDecoder:
     in call order (including the initial ``0 + x`` on the first add, so
     signed zeros match the materializing path bit-for-bit); ``result``
     returns the accumulated tensor.  The returned array lives in the
-    workspace arena when one is provided and is valid until the next
-    decoder on the same workspace.
+    workspace arena (a throwaway one when none is given) and is valid
+    until the next decoder on the same workspace.
     """
 
     def __init__(
@@ -217,11 +234,11 @@ class SumDecoder:
     ):
         self.codec = codec
         self.shape = tuple(shape)
-        self.workspace = workspace
-        if workspace is None:
-            self._acc = np.zeros(self.shape, dtype=np.float32)
-        else:
-            self._acc = workspace.zeros("sumdec.acc", self.shape)
+        self.workspace = workspace if workspace is not None else EncodeWorkspace()
+        self._acc = self._start()
+
+    def _start(self) -> np.ndarray | None:
+        return self.workspace.zeros("sumdec.acc", self.shape)
 
     def add(self, message: EncodedTensor) -> None:
         """Fold one message's decoded image into the running sum."""
@@ -230,70 +247,8 @@ class SumDecoder:
         )
 
     def result(self) -> np.ndarray:
-        """The accumulated sum (arena-backed when a workspace is set)."""
+        """The accumulated sum (arena-backed)."""
         return self._acc
-
-
-class BucketSumDecoder(SumDecoder):
-    """Sum decoder for codecs whose wire layout is a bucket permutation.
-
-    Decoded bucket matrices are accumulated contiguously (a fast dense
-    add) and the bucket-to-gradient permutation runs once in
-    :meth:`result` instead of once per rank.  A permutation is an
-    elementwise bijection, so it commutes with the per-element sum:
-    ``unbucket(sum_r values_r) == sum_r unbucket(values_r)`` exactly,
-    bit for bit, because each element still accumulates the same
-    float32 operands in the same order.  The codec must provide
-    ``_decode_values(message, workspace) -> (n_buckets, bucket_size)``;
-    codecs that additionally provide ``_decode_acc_into(message, acc,
-    workspace)`` get the fused decode-accumulate path, which adds
-    decoded values straight into the bucket accumulator without
-    materializing them (same operands, same order, so bit-identical).
-    """
-
-    def __init__(
-        self,
-        codec: Quantizer,
-        shape: tuple[int, ...],
-        workspace: EncodeWorkspace | None = None,
-    ):
-        self.codec = codec
-        self.shape = tuple(shape)
-        self.workspace = workspace
-        self._acc = None  # allocated lazily: geometry comes from msg 0
-
-    def add(self, message: EncodedTensor) -> None:
-        fused = getattr(self.codec, "_decode_acc_into", None)
-        if fused is not None:
-            self._acc = fused(message, self._acc, self.workspace)
-            return
-        values = self.codec._decode_values(message, self.workspace)
-        if self._acc is None:
-            if self.workspace is None:
-                self._acc = np.zeros(values.shape, dtype=np.float32)
-            else:
-                self._acc = self.workspace.zeros(
-                    "sumdec.bucket_acc", values.shape
-                )
-        elif self._acc.shape != values.shape:
-            raise ValueError(
-                f"message bucket geometry {values.shape} does not match "
-                f"the accumulator {self._acc.shape}; all messages in one "
-                f"exchange must share the same bucket layout"
-            )
-        self._acc += values
-
-    def result(self) -> np.ndarray:
-        from .bucketing import from_buckets_into
-
-        if self.workspace is None:
-            out = np.empty(self.shape, dtype=np.float32)
-        else:
-            out = self.workspace.array("sumdec.out", self.shape)
-        if self._acc is None:  # no messages were added
-            out.fill(0.0)
-            return out
-        return from_buckets_into(self._acc, self.shape, out)
 
 
 class ErrorFeedback:
@@ -326,22 +281,18 @@ class ErrorFeedback:
     ) -> EncodedTensor:
         """Encode ``grad`` for stream ``key`` with error correction.
 
-        With a ``workspace``, the corrected gradient and the round-trip
-        decode live in arena scratch and the residual is updated in
-        place, so repeated calls allocate nothing.
+        The corrected gradient and the round-trip decode live in arena
+        scratch (a throwaway arena when no ``workspace`` is given) and
+        the residual is updated in place, so repeated calls with one
+        workspace allocate nothing.
         """
+        ws = workspace if workspace is not None else EncodeWorkspace()
         residual = self.residual(key, grad.shape)
-        if workspace is None:
-            corrected = grad.astype(np.float32, copy=False) + residual
-            message = self.quantizer.encode(corrected, rng)
-            decoded = self.quantizer.decode(message)
-            self._residuals[key] = corrected - decoded
-            return message
-        corrected = workspace.array("ef.corrected", grad.shape)
+        corrected = ws.array("ef.corrected", grad.shape)
         np.add(grad, residual, out=corrected)
-        message = self.quantizer.encode_into(corrected, rng, workspace)
-        decoded = workspace.array("ef.decoded", grad.shape)
-        self.quantizer.decode_into(message, decoded, workspace=workspace)
+        message = self.quantizer.encode_into(corrected, rng, ws)
+        decoded = ws.array("ef.decoded", grad.shape)
+        self.quantizer.decode_into(message, decoded, workspace=ws)
         np.subtract(corrected, decoded, out=residual)
         return message
 

@@ -24,34 +24,19 @@ class FullPrecision(Quantizer):
     nominal_bits = 32.0
     requires_error_feedback = False
 
-    def encode(
-        self, grad: np.ndarray, rng: np.random.Generator | None = None
-    ) -> EncodedTensor:
-        values = np.ascontiguousarray(grad, dtype=np.float32)
-        return EncodedTensor(
-            scheme=self.name,
-            shape=grad.shape,
-            payload={"values": values.reshape(-1)},
-        )
-
     def encode_into(
         self,
         grad: np.ndarray,
         rng: np.random.Generator | None = None,
         workspace: EncodeWorkspace | None = None,
     ) -> EncodedTensor:
-        if workspace is None:
-            return self.encode(grad, rng)
+        ws = workspace if workspace is not None else EncodeWorkspace()
         grad = np.asarray(grad)
-        values = workspace.array("fp.values", grad.size)
+        values = ws.array("fp.values", grad.size)
         values.reshape(grad.shape)[...] = grad
         return EncodedTensor(
             scheme=self.name, shape=grad.shape, payload={"values": values}
         )
-
-    def decode(self, message: EncodedTensor) -> np.ndarray:
-        values = message.payload["values"]
-        return np.asarray(values, dtype=np.float32).reshape(message.shape)
 
     def decode_into(
         self,

@@ -2,7 +2,7 @@
 
 The hot kernels of the encode/exchange path — bitpack pack/unpack,
 QSGD stochastic encode, QSGD decode, the fused decode-accumulate
-behind :class:`~repro.quantization.base.BucketSumDecoder`, and the
+behind :class:`~repro.quantization.bucketed.BucketSumDecoder`, and the
 1bitSGD encode (sign words plus pos/neg means) and decode(-accumulate)
 — are provided by interchangeable *backends* with identical signatures
 and byte-for-byte identical output:

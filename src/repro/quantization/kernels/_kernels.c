@@ -43,6 +43,7 @@
  *    numpy release that changes its reduction fails there, by name.
  */
 
+#include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
@@ -132,22 +133,29 @@ void repro_transpose_f32(const float *restrict src, int64_t rows,
  * abs are order-independent, so any vectorization is bit-safe — but
  * gcc will not auto-vectorize a conditional float max reduction, so
  * the AVX path does it by hand: abs is a sign-bit mask (exact) and
- * the lane-wise max commutes with the final horizontal fold. */
+ * the lane-wise max commutes with the final horizontal fold.  A NaN
+ * in the row makes the scale NaN, as numpy's max does: the bucket then
+ * decodes to NaN under every backend instead of hiding the NaN. */
 void repro_absmax_rows(const float *restrict buckets, int64_t n_buckets,
                        int64_t bucket_size, float *restrict scales)
 {
     for (int64_t b = 0; b < n_buckets; b++) {
         const float *row = buckets + b * bucket_size;
         float m = 0.0f;
+        int nan = 0;
         int64_t j = 0;
 #if defined(__AVX__)
         if (bucket_size >= 8) {
             const __m256 absmask =
                 _mm256_castsi256_ps(_mm256_set1_epi32(0x7FFFFFFF));
             __m256 vm = _mm256_setzero_ps();
-            for (; j + 8 <= bucket_size; j += 8)
-                vm = _mm256_max_ps(
-                    vm, _mm256_and_ps(_mm256_loadu_ps(row + j), absmask));
+            __m256 vnan = _mm256_setzero_ps();
+            for (; j + 8 <= bucket_size; j += 8) {
+                __m256 x = _mm256_and_ps(_mm256_loadu_ps(row + j), absmask);
+                vm = _mm256_max_ps(vm, x);
+                vnan = _mm256_or_ps(vnan, _mm256_cmp_ps(x, x, _CMP_UNORD_Q));
+            }
+            nan = _mm256_movemask_ps(vnan);
             float lanes[8];
             _mm256_storeu_ps(lanes, vm);
             for (int k = 0; k < 8; k++)
@@ -157,8 +165,9 @@ void repro_absmax_rows(const float *restrict buckets, int64_t n_buckets,
         for (; j < bucket_size; j++) {
             float av = row[j] < 0.0f ? -row[j] : row[j];
             m = av > m ? av : m;
+            nan |= av != av;
         }
-        scales[b] = m;
+        scales[b] = nan ? NAN : m;
     }
 }
 

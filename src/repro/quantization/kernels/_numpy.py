@@ -21,7 +21,7 @@ Two arithmetic-order rules every port must follow:
 
 l2-norm bucket scales are deliberately *not* part of the backend
 interface: numpy's pairwise summation order is part of the reference
-bit pattern, so :mod:`repro.quantization.qsgd` computes l2 scales with
+bit pattern, so :mod:`repro.quantization.bucketed` computes l2 scales with
 numpy for every backend.  The infinity norm is order-independent and
 is implemented by each backend.  The 1bitSGD means are the exception:
 the C backend reproduces numpy's float32 pairwise row sum (see the

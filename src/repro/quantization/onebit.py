@@ -22,8 +22,9 @@ The arithmetic lives in the kernel backends
 owns the group geometry and the message layout.  The ``*_into`` forms
 draw their outputs (and any backend scratch) from an
 :class:`~repro.quantization.workspace.EncodeWorkspace`, so the hot
-path performs no per-call allocations; the plain forms are thin
-wrappers over them.
+path performs no per-call allocations; the plain ``encode`` /
+``decode`` are :class:`~repro.quantization.base.Quantizer`'s, the same
+forms over a throwaway arena.
 """
 
 from __future__ import annotations
@@ -139,11 +140,6 @@ class OneBitSgd(Quantizer):
     nominal_bits = 1.0
     requires_error_feedback = True
 
-    def encode(
-        self, grad: np.ndarray, rng: np.random.Generator | None = None
-    ) -> EncodedTensor:
-        return self.encode_into(grad, rng)
-
     def encode_into(
         self,
         grad: np.ndarray,
@@ -170,10 +166,6 @@ class OneBitSgd(Quantizer):
             },
             meta={"rows": rows},
         )
-
-    def decode(self, message: EncodedTensor) -> np.ndarray:
-        out = np.empty(message.shape, dtype=np.float32)
-        return self.decode_into(message, out)
 
     def decode_into(
         self,

@@ -41,11 +41,6 @@ class OneBitSgdReshaped(Quantizer):
         """Bucket size used for a ``count``-element tensor (capped)."""
         return max(1, min(self.bucket_size, count))
 
-    def encode(
-        self, grad: np.ndarray, rng: np.random.Generator | None = None
-    ) -> EncodedTensor:
-        return self.encode_into(grad, rng)
-
     def encode_into(
         self,
         grad: np.ndarray,
@@ -71,10 +66,6 @@ class OneBitSgdReshaped(Quantizer):
             },
             meta={"bucket_size": bucket_size},
         )
-
-    def decode(self, message: EncodedTensor) -> np.ndarray:
-        out = np.empty(message.shape, dtype=np.float32)
-        return self.decode_into(message, out)
 
     def decode_into(
         self,

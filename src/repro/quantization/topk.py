@@ -43,11 +43,6 @@ class TopK(Quantizer):
         """Entries kept for a ``count``-element tensor (at least one)."""
         return max(1, int(self.density * count))
 
-    def encode(
-        self, grad: np.ndarray, rng: np.random.Generator | None = None
-    ) -> EncodedTensor:
-        return self.encode_into(grad, rng)
-
     def encode_into(
         self,
         grad: np.ndarray,
@@ -79,10 +74,6 @@ class TopK(Quantizer):
             payload={"indices": indices, "values": values},
             meta={"density": self.density},
         )
-
-    def decode(self, message: EncodedTensor) -> np.ndarray:
-        out = np.empty(message.shape, dtype=np.float32)
-        return self.decode_into(message, out)
 
     def decode_into(
         self,

@@ -6,7 +6,10 @@ import pytest
 from repro.quantization import (
     MESSAGE_HEADER_BYTES,
     SCHEME_NAMES,
+    EncodedTensor,
+    EncodeWorkspace,
     FullPrecision,
+    Quantizer,
     make_quantizer,
 )
 
@@ -68,3 +71,42 @@ class TestRegistry:
         a = q.roundtrip(grad, np.random.default_rng(5))
         b = q.decode(q.encode(grad, np.random.default_rng(5)))
         np.testing.assert_array_equal(a, b)
+
+
+class TestAllocatingForms:
+    """``encode``/``decode`` and their workspace forms are one path."""
+
+    def test_either_form_suffices(self):
+        class Halves(Quantizer):
+            name = "halves"
+
+            def encode(self, grad, rng=None):
+                halved = np.asarray(grad, dtype=np.float32) / 2
+                return EncodedTensor(self.name, grad.shape, {"v": halved})
+
+            def decode(self, message):
+                return message.payload["v"] * 2
+
+        codec = Halves()
+        grad = np.arange(6, dtype=np.float32).reshape(2, 3)
+        message = codec.encode_into(grad, None, EncodeWorkspace())
+        out = np.ones_like(grad)
+        codec.decode_into(message, out, accumulate=True)
+        np.testing.assert_array_equal(out, grad + 1)
+        decoder = codec.sum_decoder(grad.shape)
+        decoder.add(message)
+        decoder.add(message)
+        np.testing.assert_array_equal(decoder.result(), 2 * grad)
+
+    @pytest.mark.parametrize("defined", ["nothing", "encode", "decode_into"])
+    def test_a_codec_missing_a_form_is_a_type_error(self, defined):
+        body = {
+            "encode": lambda self, grad, rng=None: None,
+            "decode_into": lambda self, message, out, *a, **k: out,
+        }
+        with pytest.raises(TypeError, match="must define"):
+            codec = type("Broken", (Quantizer,), {
+                name: fn for name, fn in body.items() if name == defined
+            })()
+            codec.encode(np.zeros(3, np.float32))
+            codec.decode(EncodedTensor("broken", (3,), {}))

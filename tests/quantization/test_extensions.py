@@ -228,3 +228,8 @@ class TestUnknownSchemeError:
             make_quantizer("aqsgdx")
         with pytest.raises(ValueError):
             make_quantizer("topkzz")
+        # a clip that parses as a float but is not finite would make
+        # every decode NaN: refused at construction like a negative one
+        for name in ("terngradnan", "terngradinf"):
+            with pytest.raises(ValueError, match="clip"):
+                make_quantizer(name)

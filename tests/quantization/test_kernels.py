@@ -18,7 +18,7 @@ import pytest
 from repro.core import ParallelTrainer, TrainingConfig
 from repro.data import make_image_dataset
 from repro.models import tiny_alexnet
-from repro.quantization import OneBitSgd, bitpack, kernels
+from repro.quantization import OneBitSgd, bitpack, kernels, make_quantizer
 from repro.quantization.base import EncodedTensor
 from repro.quantization.kernels import _numpy as ref_backend
 from repro.quantization.onebit import decode_groups_into, encode_groups_into
@@ -402,22 +402,78 @@ def test_onebit_decode_rejects_short_payload(backend, field):
         codec.decode(bad)
 
 
-def test_qsgd_decode_rejects_wrong_word_count():
-    codec = Qsgd(4)
+#: bucketed codec -> the payload section carrying its codes
+BUCKETED_CODE_SECTIONS = {
+    "qsgd4": "words",
+    "qsgd8-grid": "words",
+    "terngrad": "words",
+    "dettmers8": "codes",
+    "aqsgd4": "words",
+}
+#: corruption -> (payload edit, the section the error must name)
+PAYLOAD_CORRUPTIONS = {
+    "codes-short": lambda p, codes: ({codes: p[codes][:-1]}, codes),
+    "scales-mismatch": lambda p, codes: ({"scales": p["scales"][:-1]}, codes),
+    "levels-short": lambda p, codes: ({"levels": p["levels"][:-1]}, "levels"),
+}
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize(
+    "codec_key, corruption",
+    [
+        (codec_key, corruption)
+        for codec_key in BUCKETED_CODE_SECTIONS
+        for corruption in PAYLOAD_CORRUPTIONS
+        if corruption != "levels-short" or codec_key.startswith("aqsgd")
+    ],
+)
+def test_bucketed_decode_rejects_corrupt_payload(backend, codec_key, corruption):
+    # a payload that disagrees with its bucket geometry is named with a
+    # ValueError on every decode path, never indexed out of bounds
+    scheme, _, variant = codec_key.partition("-")
+    kwargs = {"variant": variant} if variant else {}
+    codec = make_quantizer(scheme, bucket_size=64, **kwargs)
     message = codec.encode(
         _gradient((16, 16), seed=3), np.random.default_rng(0)
+    )
+    edit, named = PAYLOAD_CORRUPTIONS[corruption](
+        message.payload, BUCKETED_CODE_SECTIONS[codec_key]
     )
     bad = EncodedTensor(
         scheme=message.scheme,
         shape=message.shape,
-        payload={
-            "scales": message.payload["scales"],
-            "words": message.payload["words"][:-1],
-        },
+        payload={**message.payload, **edit},
         meta=message.meta,
     )
-    with pytest.raises(ValueError, match="packed words"):
-        codec.decode(bad)
+    decoders = {
+        "decode": codec.decode,
+        "decode_into": lambda m: codec.decode_into(
+            m, np.zeros(m.shape, np.float32), True, EncodeWorkspace()
+        ),
+        "sum_decoder": lambda m: codec.sum_decoder(m.shape).add(m),
+    }
+    with kernels.use_backend(backend):
+        for path, decode in decoders.items():
+            with pytest.raises(ValueError, match=named):
+                decode(bad)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("codec_key", sorted(BUCKETED_CODE_SECTIONS))
+def test_nan_gradient_poisons_its_bucket_under_every_backend(backend, codec_key):
+    # the absmax scale propagates a NaN like numpy's max: its bucket
+    # decodes to NaN on every backend and the other buckets stay finite
+    scheme, _, variant = codec_key.partition("-")
+    kwargs = {"variant": variant} if variant else {}
+    codec = make_quantizer(scheme, bucket_size=64, **kwargs)
+    grad = _gradient((16, 16), seed=3)
+    grad[5, 2] = np.nan  # column-major position 37: the first bucket
+    with kernels.use_backend(backend), np.errstate(invalid="ignore"):
+        decoded = codec.decode(codec.encode(grad, np.random.default_rng(0)))
+    flat = decoded.ravel(order="F")
+    assert np.isnan(flat[:64]).all()
+    assert np.isfinite(flat[64:]).all()
 
 
 def test_bucket_sum_decoder_rejects_mismatched_geometry():

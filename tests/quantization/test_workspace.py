@@ -187,6 +187,33 @@ def test_steady_state_performs_no_new_arena_allocations(scheme):
     assert ws.hits > 0
 
 
+@pytest.mark.parametrize("backend", kernels.available_backends())
+def test_every_codec_shares_one_arena(backend):
+    """Codec tags keep one dtype each, so one arena serves them all.
+
+    The adaptive policy routes qsgd8, qsgd4 and terngrad layers through
+    one step arena; a tag reused with a second dtype would raise there.
+    """
+    from repro.quantization import EXTENSION_SCHEME_EXAMPLES, SCHEME_NAMES
+
+    ws = EncodeWorkspace()
+    grad = _grad((40, 24), seed=4)
+    out = np.empty(grad.shape, dtype=np.float32)
+    extensions = [e.split()[0] for e in EXTENSION_SCHEME_EXAMPLES]
+    schemes = list(SCHEME_NAMES) + [
+        e.replace("<bits>", "4").replace("<density>", "0.05")
+        .replace("<clip>", "2.5") for e in extensions
+    ]
+    with kernels.use_backend(backend):
+        for scheme in schemes:
+            codec = make_quantizer(scheme)
+            message = codec.encode_into(grad, np.random.default_rng(0), ws)
+            codec.decode_into(message, out, workspace=ws)
+            decoder = codec.sum_decoder(grad.shape, ws)
+            decoder.add(codec.encode_into(grad, np.random.default_rng(1), ws))
+            decoder.result()
+
+
 #: the only 1bit arena entries the compiled path keeps: the message
 #: itself.  Every other ``1bit.*`` tag (masked copies, sign planes,
 #: padded lanes, sums, counts) is reference-path scratch.

@@ -110,13 +110,23 @@ def test_sigkill_restart_resumes_bit_identically(tmp_path):
         assert health["runners"]["zygote"] == "warm"
         assert health["runners"]["zygote_starts"] == 1
         assert health["runners"]["forked"] >= 1
+        store = JobStore(root)
         in_flight = [
-            (record.pid, record.pid_start_time)
-            for record in JobStore(root).list(JobState.RUNNING)
+            (record.job_id, record.pid, record.pid_start_time)
+            for record in store.list(JobState.RUNNING)
         ]
+
+        def names_its_runner(job_id, pid, start_time):
+            # a record stays RUNNING until the daemon's next tick reaps
+            # its runner, so a job that just finished may name a runner
+            # that has exited -- after writing its result, never before
+            live = process_start_time(pid)
+            if live is None:
+                return store.result_path(job_id).exists()
+            return live == start_time
+
         assert in_flight and all(
-            process_start_time(pid) == start_time
-            for pid, start_time in in_flight
+            names_its_runner(*entry) for entry in in_flight
         )
         os.kill(process.pid, signal.SIGKILL)
         process.wait(timeout=30)
@@ -148,7 +158,7 @@ def test_sigkill_restart_resumes_bit_identically(tmp_path):
     )
     assert not any(
         process_start_time(pid) == start_time
-        for pid, start_time in in_flight
+        for _, pid, start_time in in_flight
     )
 
     # restart in drain mode: rescan requeues the interrupted jobs and
