@@ -8,7 +8,7 @@ deterministic link-failure injection wired into the resilience loop's
 topology-change path.
 """
 
-from .crossval import FabricCrossValidation, fabric_cross_validate
+from .crossval import fabric_cross_validate
 from .schedule import (
     PATTERN_NAMES,
     CollectiveSchedule,
@@ -45,7 +45,6 @@ __all__ = [
     "TOPOLOGY_NAMES",
     "CollectiveChoice",
     "CollectiveSchedule",
-    "FabricCrossValidation",
     "FabricSimResult",
     "FabricTopology",
     "Link",

@@ -10,8 +10,8 @@ paced at the same ``link_gbps`` the engine's exchange sleeps on.
 
 Compute and quantize cannot be predicted by a network simulator, so
 they are carried over from the measurement itself; the phase-share
-comparison (the same :class:`~repro.telemetry.crossval.RatioRow`
-machinery, gated by the shared
+comparison (the one :func:`~repro.telemetry.crossval.compare`, gated
+by the shared
 :data:`~repro.telemetry.crossval.DEFAULT_FRACTION_GAP_TOLERANCE`)
 therefore isolates the fabric's communication prediction: a fabric
 that mis-times the exchange shifts every share and fails the gate.
@@ -25,77 +25,14 @@ aggregate rank-seconds before the shares are formed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
-from ..telemetry.crossval import (
-    DEFAULT_FRACTION_GAP_TOLERANCE,
-    RatioRow,
-)
+from ..telemetry.crossval import CrossValidation, compare
 from ..telemetry.export import PhaseBreakdown
-from .simulate import FabricSimResult, run_collective
+from .simulate import run_collective
 from .topology import FabricTopology, Link, LinkClass, single_node
 
-__all__ = ["FabricCrossValidation", "fabric_cross_validate"]
-
-#: span grouping for the fabric anchor.  Unlike the general
-#: cross-validation's groups, ``communicate`` maps to the ``transfer``
-#: span alone: the fabric predicts *wire* time, while ``barrier``
-#: spans on the process engine measure multi-process rendezvous
-#: scheduling jitter — orchestration overhead that dwarfs wire time at
-#: toy scale and that no network model should be charged with.
-_FABRIC_GROUPS = {
-    "compute": ("compute",),
-    "quantize": ("encode", "decode"),
-    "communicate": ("transfer",),
-}
-
-
-@dataclass(frozen=True)
-class FabricCrossValidation:
-    """Measured vs fabric-predicted phase shares for one live run."""
-
-    pattern: str
-    scheme: str
-    world_size: int
-    breakdown: PhaseBreakdown
-    fabric: FabricSimResult
-    #: fabric-predicted aggregate communication rank-seconds for the
-    #: whole measured run (steps x world_size x collective makespan)
-    predicted_comm_seconds: float
-    rows: tuple[RatioRow, ...]
-
-    @property
-    def max_fraction_gap(self) -> float:
-        """Largest |measured - predicted| phase share across rows."""
-        return max(
-            (abs(row.fraction_gap) for row in self.rows), default=0.0
-        )
-
-    def passes(
-        self, tolerance: float = DEFAULT_FRACTION_GAP_TOLERANCE
-    ) -> bool:
-        """Whether every phase share agrees within ``tolerance``."""
-        return self.max_fraction_gap <= tolerance
-
-    def report(self) -> str:
-        """Side-by-side share table, one line per phase."""
-        lines = [
-            f"fabric cross-validation [{self.breakdown.label}] vs "
-            f"{self.fabric.topology_name}/{self.pattern} "
-            f"({self.scheme}/K={self.world_size})",
-            f"  {'phase':12s} {'measured':>18s} {'predicted':>18s}",
-        ]
-        for row in self.rows:
-            lines.append(
-                f"  {row.phase:12s} "
-                f"{row.measured_seconds:9.4f}s {row.measured_fraction:6.1%} "
-                f"{row.simulated_seconds:9.4f}s {row.simulated_fraction:6.1%}"
-            )
-        lines.append(
-            f"  max phase-share gap: {self.max_fraction_gap:.1%} "
-            f"(tolerance {DEFAULT_FRACTION_GAP_TOLERANCE:.0%})"
-        )
-        return "\n".join(lines)
+__all__ = ["fabric_cross_validate"]
 
 
 def _paced_topology(world_size: int, link_gbps: float) -> FabricTopology:
@@ -133,7 +70,7 @@ def fabric_cross_validate(
     steps: int,
     link_gbps: float | None = None,
     topology: FabricTopology | None = None,
-) -> FabricCrossValidation:
+) -> CrossValidation:
     """Compare a measured breakdown against the fabric's prediction.
 
     Args:
@@ -162,40 +99,15 @@ def fabric_cross_validate(
         raise ValueError(f"steps must be >= 1, got {steps}")
     fabric = run_collective(topology, pattern, total_elements,
                             scheme=scheme)
-    predicted_comm = fabric.makespan_seconds * steps * world_size
-
-    measured = {
-        group: sum(
-            breakdown.phase_seconds.get(name, 0.0) for name in names
-        )
-        for group, names in _FABRIC_GROUPS.items()
-    }
-    predicted = dict(measured)
-    predicted["communicate"] = predicted_comm
-    measured_total = sum(measured.values())
-    predicted_total = sum(predicted.values())
-    rows = tuple(
-        RatioRow(
-            phase=group,
-            measured_seconds=measured[group],
-            measured_fraction=(
-                measured[group] / measured_total if measured_total else 0.0
-            ),
-            simulated_seconds=predicted[group],
-            simulated_fraction=(
-                predicted[group] / predicted_total
-                if predicted_total
-                else 0.0
-            ),
-        )
-        for group in _FABRIC_GROUPS
-    )
-    return FabricCrossValidation(
-        pattern=pattern,
-        scheme=scheme,
-        world_size=world_size,
-        breakdown=breakdown,
-        fabric=fabric,
-        predicted_comm_seconds=predicted_comm,
-        rows=rows,
+    # the fabric predicts wire time only: the barrier spans (process
+    # engine rendezvous jitter) are not charged to its communicate term
+    return compare(
+        breakdown,
+        {"communicate": fabric.makespan_seconds * steps * world_size},
+        title=(
+            f"fabric cross-validation [{breakdown.label}] vs "
+            f"{fabric.topology_name}/{pattern} ({scheme}/K={world_size})"
+        ),
+        prediction=fabric,
+        charges_barrier=False,
     )

@@ -16,11 +16,15 @@
  *    numpy's `rand < prob` does.  The draws are passed in, never
  *    generated here, so compiled and reference backends consume the
  *    same RNG stream.
- *  - `(int32_t)x` truncation replaces floorf only where the operand is
- *    provably non-negative (sign-variant ratios); the grid variant can
- *    see slightly negative positions under l2 scaling, so it corrects
- *    the truncation to a true floor.  Both forms vectorize where the
- *    libm calls do not.
+ *  - `(int32_t)x` truncation replaces floorf because every operand is
+ *    first clamped at zero by `keep_or_zero(x, x > 0.0f)`, a compare
+ *    and a bit mask that also send NaN -- a NaN element, or inf/inf --
+ *    to 0, so a NaN never reaches the int cast (undefined behaviour in
+ *    C) and codes level 0, like the numpy reference's `fmax`.  A grid
+ *    position below zero (l2 scaling) rounds to code 0 either way, so
+ *    clamping it first is exact.  Truncation and the mask vectorize
+ *    where the libm calls do not (gcc leaves a float `?:` in the grid
+ *    loop as a branch).
  *  - l2-norm scale *reduction* is not implemented here on purpose:
  *    numpy's pairwise summation order is part of the reference bit
  *    pattern, so the python wrapper computes l2 scales with numpy and
@@ -171,14 +175,25 @@ void repro_absmax_rows(const float *restrict buckets, int64_t n_buckets,
     }
 }
 
+/* `v` where `keep`, else +0.0f: a bit mask, not a select, so loops
+ * that use it stay branch-free and vectorized */
+static inline float keep_or_zero(float v, int keep)
+{
+    uint32_t u;
+    memcpy(&u, &v, sizeof u);
+    u &= 0u - (uint32_t)keep;
+    memcpy(&v, &u, sizeof v);
+    return v;
+}
+
 /* ------------------------------------------------------------------ */
 /* QSGD stochastic quantization (codes from buckets + scales + draws)  */
 /* ------------------------------------------------------------------ */
 
 /* Sign variant: code = (level << 1) | signbit with level the
- * stochastic rounding of clip(|v|/scale, 0, 1) * s.  Mirrors
- * Qsgd._encode_sign op for op; `ratio` stays non-negative so
- * truncation is floor. */
+ * stochastic rounding of clip(|v|/scale, 0, 1) * s (NaN -> 0).
+ * Mirrors the numpy reference op for op; the clamp keeps `ratio`
+ * non-negative, so truncation is floor. */
 void repro_quant_sign(const float *restrict buckets,
                       const float *restrict scales, int64_t n_buckets,
                       int64_t bucket_size, int64_t bits,
@@ -202,6 +217,7 @@ void repro_quant_sign(const float *restrict buckets,
             float v = pb[j];
             float av = v < 0.0f ? -v : v;
             float ratio = av / safe;
+            ratio = keep_or_zero(ratio, ratio > 0.0f);
             ratio = ratio > 1.0f ? 1.0f : ratio;
             ratio = ratio * sf;
             int32_t low = (int32_t)ratio;
@@ -214,8 +230,9 @@ void repro_quant_sign(const float *restrict buckets,
 }
 
 /* Grid variant: code indexes the 2^bits endpoints of [-scale, scale].
- * `position` can round slightly below zero under l2 scaling, so the
- * truncation is corrected to a true floor before the clip. */
+ * `position` can round slightly below zero under l2 scaling; it is
+ * clamped at zero (NaN -> 0) before the truncation, which gives the
+ * same code 0 the true floor and the index clip would. */
 void repro_quant_grid(const float *restrict buckets,
                       const float *restrict scales, int64_t n_buckets,
                       int64_t bucket_size, int64_t bits,
@@ -240,11 +257,10 @@ void repro_quant_grid(const float *restrict buckets,
         for (int64_t j = 0; j < bucket_size; j++) {
             float pos = pb[j] + scale;
             pos = pos / safe;
+            pos = keep_or_zero(pos, pos > 0.0f);
             int32_t low = (int32_t)pos;
-            low -= pos < (float)low;
             float prob = pos - (float)low;
             int32_t idx = low + (pr[j] < (double)prob);
-            idx = idx < 0 ? 0 : idx;
             idx = idx > top ? top : idx;
             pc[j] = (uint32_t)idx;
         }
@@ -442,6 +458,7 @@ void repro_quant_sign_pack(const float *restrict buckets,
         float v = pb[j0 + j];
         float av = v < 0.0f ? -v : v;
         float ratio = av / safe;
+        ratio = keep_or_zero(ratio, ratio > 0.0f);
         ratio = ratio > 1.0f ? 1.0f : ratio;
         ratio = ratio * sf;
         int32_t low = (int32_t)ratio;
@@ -469,11 +486,10 @@ void repro_quant_grid_pack(const float *restrict buckets,
     QUANT_PACK_FRAME({
         float pos = pb[j0 + j] + scale;
         pos = pos / safe;
+        pos = keep_or_zero(pos, pos > 0.0f);
         int32_t low = (int32_t)pos;
-        low -= pos < (float)low;
         float prob = pos - (float)low;
         int32_t idx = low + (pr[j0 + j] < (double)prob);
-        idx = idx < 0 ? 0 : idx;
         idx = idx > top ? top : idx;
         tile[j] = (uint32_t)idx;
     })
@@ -603,16 +619,6 @@ void repro_words_dequant_grid_acc(const uint32_t *restrict words,
  * the matrix is touched as one run of ONEBIT_TILE adjacent floats. */
 #define ONEBIT_TILE 16
 
-/* `v` where `keep`, else +0.0f: a bit mask, so no branch on the sign */
-static inline float onebit_keep(float v, int keep)
-{
-    uint32_t u;
-    memcpy(&u, &v, sizeof u);
-    u &= 0u - (uint32_t)keep;
-    memcpy(&v, &u, sizeof v);
-    return v;
-}
-
 /* Both masked sums of numpy's reference at once: the positive side
  * sums `v >= 0 ? v : +0`, the negative side `v >= 0 ? +0 : v` (NaN
  * compares false, so it lands on the negative side), each in
@@ -626,8 +632,8 @@ static void onebit_pairwise(const float *restrict a, int64_t n,
         float rp = 0.0f, rn = 0.0f;
         for (int64_t i = 0; i < n; i++) {
             const int pos = a[i] >= 0.0f;
-            rp += onebit_keep(a[i], pos);
-            rn += onebit_keep(a[i], !pos);
+            rp += keep_or_zero(a[i], pos);
+            rn += keep_or_zero(a[i], !pos);
         }
         *sum_pos = rp;
         *sum_neg = rn;
@@ -652,14 +658,14 @@ static void onebit_pairwise(const float *restrict a, int64_t n,
 #else
         for (int k = 0; k < 8; k++) {
             const int pos = a[k] >= 0.0f;
-            p[k] = onebit_keep(a[k], pos);
-            q[k] = onebit_keep(a[k], !pos);
+            p[k] = keep_or_zero(a[k], pos);
+            q[k] = keep_or_zero(a[k], !pos);
         }
         for (i = 8; i < n - (n % 8); i += 8) {
             for (int k = 0; k < 8; k++) {
                 const int pos = a[i + k] >= 0.0f;
-                p[k] += onebit_keep(a[i + k], pos);
-                q[k] += onebit_keep(a[i + k], !pos);
+                p[k] += keep_or_zero(a[i + k], pos);
+                q[k] += keep_or_zero(a[i + k], !pos);
             }
         }
 #endif
@@ -669,8 +675,8 @@ static void onebit_pairwise(const float *restrict a, int64_t n,
                    ((q[4] + q[5]) + (q[6] + q[7]));
         for (; i < n; i++) {
             const int pos = a[i] >= 0.0f;
-            rp += onebit_keep(a[i], pos);
-            rn += onebit_keep(a[i], !pos);
+            rp += keep_or_zero(a[i], pos);
+            rn += keep_or_zero(a[i], !pos);
         }
         *sum_pos = rp;
         *sum_neg = rn;

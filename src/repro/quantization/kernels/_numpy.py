@@ -142,14 +142,16 @@ def quantize_sign(
     s = (1 << (bits - 1)) - 1
     lanes = buckets.shape
     safe = _safe_scales(scales, ws)
-    # ratio = clip(|buckets| / safe, 0, 1) * s, computed in place
+    # ratio = clip(|buckets| / safe, 0, 1) * s, computed in place; fmax
+    # sends a NaN ratio (a NaN element, or inf/inf) to level 0
     if abs_buckets is not None:
         ratio = abs_buckets  # caller already materialized |buckets|
     else:
         ratio = _scratch(ws, "qsgd.ratio", lanes)
         np.abs(buckets, out=ratio)
     np.divide(ratio, safe[:, None], out=ratio)
-    np.clip(ratio, 0.0, 1.0, out=ratio)
+    np.fmax(ratio, 0.0, out=ratio)
+    np.minimum(ratio, 1.0, out=ratio)
     np.multiply(ratio, s, out=ratio)
     low = _scratch(ws, "qsgd.low", lanes)
     np.floor(ratio, out=low)
@@ -193,6 +195,9 @@ def quantize_grid(
     position = _scratch(ws, "qsgd.ratio", lanes)
     np.add(buckets, scales[:, None], out=position)
     np.divide(position, safe_step[:, None], out=position)
+    # a position below zero (l2 scaling) codes 0 either way; fmax also
+    # sends NaN there
+    np.fmax(position, 0.0, out=position)
     low = _scratch(ws, "qsgd.low", lanes)
     np.floor(position, out=low)
     prob = position

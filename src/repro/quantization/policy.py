@@ -27,11 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-import numpy as np
-
-from .base import EncodedTensor, Quantizer
+from .base import Quantizer
 from .fullprec import FullPrecision
-from .workspace import EncodeWorkspace
 
 __all__ = [
     "passthrough_threshold",
@@ -99,7 +96,6 @@ class QuantizationPolicy:
 
     def __post_init__(self) -> None:
         self.fullprec = FullPrecision()
-        self._fullprec = self.fullprec  # backwards-compatible alias
 
     @classmethod
     def for_model(
@@ -114,7 +110,7 @@ class QuantizationPolicy:
     def codec_for(self, size: int) -> Quantizer:
         """The codec a gradient of ``size`` elements will travel through."""
         if size < self.threshold:
-            return self._fullprec
+            return self.fullprec
         return self.quantizer
 
     def codec_for_layer(self, name: str, size: int) -> Quantizer:
@@ -125,37 +121,6 @@ class QuantizationPolicy:
         calls this form so both policies flow through one code path.
         """
         return self.codec_for(size)
-
-    def encode(
-        self, grad: np.ndarray, rng: np.random.Generator | None = None
-    ) -> EncodedTensor:
-        return self.codec_for(grad.size).encode(grad, rng)
-
-    def encode_into(
-        self,
-        grad: np.ndarray,
-        rng: np.random.Generator | None = None,
-        workspace: EncodeWorkspace | None = None,
-    ) -> EncodedTensor:
-        return self.codec_for(grad.size).encode_into(grad, rng, workspace)
-
-    def decode(self, message: EncodedTensor) -> np.ndarray:
-        if message.scheme == self._fullprec.name:
-            return self._fullprec.decode(message)
-        return self.quantizer.decode(message)
-
-    def decode_into(
-        self,
-        message: EncodedTensor,
-        out: np.ndarray,
-        accumulate: bool = False,
-        workspace: EncodeWorkspace | None = None,
-    ) -> np.ndarray:
-        if message.scheme == self._fullprec.name:
-            codec: Quantizer = self._fullprec
-        else:
-            codec = self.quantizer
-        return codec.decode_into(message, out, accumulate, workspace)
 
 
 #: how sensitive each parameter kind is to aggressive quantization
@@ -297,7 +262,7 @@ class AdaptiveBitWidthPolicy(QuantizationPolicy):
         # so workspace scratch and bucket plans are reused
         self._codecs: dict[str, Quantizer] = {
             self.quantizer.name: self.quantizer,
-            self._fullprec.name: self._fullprec,
+            self.fullprec.name: self.fullprec,
         }
 
     @classmethod
@@ -363,19 +328,3 @@ class AdaptiveBitWidthPolicy(QuantizationPolicy):
             codec = make_quantizer(scheme)
             self._codecs[scheme] = codec
         return codec
-
-    # the adaptive wire carries several schemes, so decode dispatches
-    # on the message's scheme tag instead of assuming the one quantizer
-    def decode(self, message: EncodedTensor) -> np.ndarray:
-        return self._codec(message.scheme).decode(message)
-
-    def decode_into(
-        self,
-        message: EncodedTensor,
-        out: np.ndarray,
-        accumulate: bool = False,
-        workspace: EncodeWorkspace | None = None,
-    ) -> np.ndarray:
-        return self._codec(message.scheme).decode_into(
-            message, out, accumulate, workspace
-        )

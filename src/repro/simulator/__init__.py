@@ -15,7 +15,6 @@ from .machine import (
     cheapest_machine_for,
     get_machine,
 )
-from .timeline import ExchangeTimeline, MatrixEvents, pipeline_timeline
 
 __all__ = [
     "PAPER_MPI_TABLE",
@@ -32,7 +31,4 @@ __all__ = [
     "MachineSpec",
     "cheapest_machine_for",
     "get_machine",
-    "ExchangeTimeline",
-    "MatrixEvents",
-    "pipeline_timeline",
 ]

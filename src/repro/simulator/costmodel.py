@@ -23,12 +23,7 @@ from functools import lru_cache
 
 from ..comm.topology import partition_ranges
 from ..models.specs import GradientMatrixSpec, NetworkSpec
-from ..quantization import (
-    FullPrecision,
-    Quantizer,
-    make_quantizer,
-    passthrough_threshold,
-)
+from ..quantization import FullPrecision, QuantizationPolicy, make_quantizer
 
 __all__ = [
     "MatrixCost",
@@ -55,8 +50,6 @@ class MatrixCost:
     range_bytes: int
     #: quantization groups over the whole matrix
     groups: int
-    #: number of encode/decode kernel launches per pass on the MPI path
-    mpi_launches: int
 
 
 class NetworkCostModel:
@@ -74,37 +67,28 @@ class NetworkCostModel:
         self.scheme = scheme
         self.world_size = world_size
         self.codec = make_quantizer(scheme, bucket_size=bucket_size)
-        self.threshold = passthrough_threshold(
+        # the training path's small-matrix passthrough rule
+        self.policy = QuantizationPolicy.for_model(
+            self.codec,
             [layer.size for layer in network.layers],
-            coverage=passthrough_coverage,
+            passthrough_coverage,
         )
-        self._fullprec = FullPrecision()
         self.matrices = [
             self._cost_matrix(layer) for layer in network.layers
         ]
 
-    def _codec_for(self, layer: GradientMatrixSpec) -> Quantizer:
-        if layer.size < self.threshold:
-            return self._fullprec
-        return self.codec
-
     def _cost_matrix(self, layer: GradientMatrixSpec) -> MatrixCost:
-        codec = self._codec_for(layer)
-        whole = codec.encoded_nbytes(layer.shape)
-        ranges = partition_ranges(layer.cols, self.world_size)
+        codec = self.policy.codec_for(layer.size)
         range_total = 0
-        launches = 0
-        for lo, hi in ranges:
+        for lo, hi in partition_ranges(layer.cols, self.world_size):
             if hi > lo:
                 range_total += codec.encoded_nbytes((layer.rows, hi - lo))
-                launches += 2  # two kernel phases per encoded range
         return MatrixCost(
             spec=layer,
             quantized=not isinstance(codec, FullPrecision),
-            whole_bytes=whole,
+            whole_bytes=codec.encoded_nbytes(layer.shape),
             range_bytes=range_total,
             groups=codec.group_count(layer.shape),
-            mpi_launches=launches,
         )
 
     # -- aggregates -------------------------------------------------------

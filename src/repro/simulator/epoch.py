@@ -11,9 +11,10 @@ The simulator composes three calibrated cost terms per iteration:
   the machine's MPI shared-bus or NCCL ring model.
 
 On the MPI path quantization overlaps communication via CNTK's double
-buffering (Section 3.2.1), so the exchange costs ``max(comm, quant)``;
-on the simulated-NCCL path quantization precedes the allreduce call
-and the two serialize (Section 4.4).
+buffering (Section 3.2.1), so the exchange costs ``max(comm, quant)``
+plus a pipeline fill/drain residue of the smaller term; on the
+simulated-NCCL path quantization precedes the allreduce call and the
+two serialize (Section 4.4).
 """
 
 from __future__ import annotations
@@ -54,7 +55,13 @@ class SimulationResult:
     compute_seconds: float
     quantize_seconds: float
     comm_seconds: float
-    iteration_seconds: float
+    #: the exchange term after overlap: ``max(comm, quant) + residue``
+    #: on MPI, ``comm + quant`` on NCCL
+    exchange_seconds: float
+
+    @property
+    def iteration_seconds(self) -> float:
+        return self.compute_seconds + self.exchange_seconds
 
     @property
     def samples_per_second(self) -> float:
@@ -211,5 +218,5 @@ def simulate_spec(
         compute_seconds=compute,
         quantize_seconds=quant,
         comm_seconds=comm,
-        iteration_seconds=compute + exchange_time,
+        exchange_seconds=exchange_time,
     )

@@ -1,36 +1,40 @@
-"""Cross-validate measured phase breakdowns against the simulator.
+"""Cross-validate measured phase breakdowns against a model's prediction.
 
 The paper validates its analytic cost model against instrumented runs
 (as Shi et al. do for their DAG model of S-SGD); this module does the
-same for this repository: a measured :class:`PhaseBreakdown` from the
-live tracer is compared, phase by phase, against the calibrated
-performance simulator's prediction for the *same scheme, exchange and
-world size* on a paper-scale network/machine cell.
+same for this repository.  A measured :class:`PhaseBreakdown` from the
+live tracer is folded onto the paper's three cost terms (compute,
+quantize, communicate) and compared, term by term, against a
+predictor's seconds for the same terms.  :func:`compare` is that one
+comparison; each predictor is a thin adapter that supplies its seconds:
 
-Because the live runs train tiny synthetic models while the simulator
-costs paper-scale networks on EC2/DGX-1 hardware, absolute seconds are
-not comparable — phase *ratios* are, and that is what the report
-shows: the measured compute : quantize : communicate split next to the
-simulated one, plus the simulator's predicted exchange makespan (the
-discrete-event :func:`~repro.simulator.timeline.pipeline_timeline` on
-the MPI path, serialized quantize-then-allreduce on the NCCL path,
-exactly as :mod:`repro.simulator.epoch` composes them).
+* :func:`cross_validate` — the calibrated performance simulator
+  (:func:`~repro.simulator.epoch.simulate`) on a paper-scale
+  network/machine cell with the *same scheme, exchange and world size*;
+* :func:`repro.fabric.fabric_cross_validate` — the fabric's link-level
+  event simulation of the live payload (communicate only).
+
+Live runs train tiny synthetic models while the simulator costs
+paper-scale networks on EC2/DGX-1 hardware, so absolute seconds are
+not comparable — phase *shares* are, and that is what the report
+shows, plus the simulator's predicted exchange makespan: the same
+closed-form exchange term (double-buffered overlap on MPI, quantize
+then allreduce on NCCL) that the paper figures are computed from.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Mapping
 
-from ..simulator.costmodel import cached_cost_model
-from ..simulator.epoch import SimulationResult, simulate
-from ..simulator.machine import get_machine
-from ..simulator.timeline import pipeline_timeline
+from ..simulator.epoch import simulate
 from .export import PhaseBreakdown
 
 __all__ = [
     "DEFAULT_FRACTION_GAP_TOLERANCE",
     "RatioRow",
     "CrossValidation",
+    "compare",
     "cross_validate",
 ]
 
@@ -42,11 +46,13 @@ __all__ = [
 #: model that mis-attributes a phase entirely (gap ~ 1.0).
 DEFAULT_FRACTION_GAP_TOLERANCE = 0.35
 
-#: how measured span names map onto the simulator's three cost terms
-_MEASURED_GROUPS = {
-    "compute": ("compute",),
-    "quantize": ("encode", "decode"),
-    "communicate": ("transfer", "barrier"),
+#: the cost term each measured span is charged to
+_SPAN_PHASES = {
+    "compute": "compute",
+    "encode": "quantize",
+    "decode": "quantize",
+    "transfer": "communicate",
+    "barrier": "communicate",
 }
 
 
@@ -68,23 +74,24 @@ class RatioRow:
 
 @dataclass(frozen=True)
 class CrossValidation:
-    """Measured vs simulated phase ratios for one study cell."""
+    """Measured vs predicted phase shares for one run."""
 
-    network: str
-    machine: str
-    scheme: str
-    exchange: str
-    world_size: int
+    #: first report line: what was measured, against which prediction
+    title: str
     breakdown: PhaseBreakdown
-    simulated: SimulationResult
-    #: simulator's predicted exchange makespan (seconds): the
-    #: discrete-event pipeline on MPI, quantize + allreduce on NCCL
-    predicted_makespan_seconds: float
+    #: the predictor's own result (a ``SimulationResult`` or a
+    #: ``FabricSimResult``)
+    prediction: object
     rows: tuple[RatioRow, ...]
+    #: predicted exchange seconds per iteration, when the predictor
+    #: prices a whole exchange
+    predicted_makespan_seconds: float | None = None
+    #: heading of the predicted column
+    predictor: str = "predicted"
 
     @property
     def max_fraction_gap(self) -> float:
-        """Largest |measured - simulated| phase share across rows."""
+        """Largest |measured - predicted| phase share across rows."""
         return max(
             (abs(row.fraction_gap) for row in self.rows), default=0.0
         )
@@ -96,12 +103,10 @@ class CrossValidation:
         return self.max_fraction_gap <= tolerance
 
     def report(self) -> str:
-        """Side-by-side ratio table, one line per phase."""
+        """Side-by-side share table, one line per phase."""
         lines = [
-            f"cross-validation [{self.breakdown.label}] vs simulated "
-            f"{self.network} on {self.machine} "
-            f"({self.scheme}/{self.exchange}/K={self.world_size})",
-            f"  {'phase':12s} {'measured':>18s} {'simulated':>18s}",
+            self.title,
+            f"  {'phase':12s} {'measured':>18s} {self.predictor:>18s}",
         ]
         for row in self.rows:
             lines.append(
@@ -109,15 +114,71 @@ class CrossValidation:
                 f"{row.measured_seconds:9.4f}s {row.measured_fraction:6.1%} "
                 f"{row.simulated_seconds:9.4f}s {row.simulated_fraction:6.1%}"
             )
-        lines.append(
-            f"  predicted exchange makespan: "
-            f"{self.predicted_makespan_seconds:.4f} s/iteration"
-        )
+        if self.predicted_makespan_seconds is not None:
+            lines.append(
+                f"  predicted exchange makespan: "
+                f"{self.predicted_makespan_seconds:.4f} s/iteration"
+            )
         lines.append(
             f"  max phase-share gap: {self.max_fraction_gap:.1%} "
             f"(tolerance {DEFAULT_FRACTION_GAP_TOLERANCE:.0%})"
         )
         return "\n".join(lines)
+
+
+def _share(part: float, total: float) -> float:
+    return part / total if total else 0.0
+
+
+def compare(
+    breakdown: PhaseBreakdown,
+    predicted: Mapping[str, float],
+    *,
+    title: str,
+    prediction: object,
+    charges_barrier: bool = True,
+    predicted_makespan_seconds: float | None = None,
+    predictor: str = "predicted",
+) -> CrossValidation:
+    """The one measured-vs-predicted comparison.
+
+    Args:
+        breakdown: phase seconds measured by the live tracer.
+        predicted: predicted seconds per cost term; a term the
+            predictor leaves out is carried over from the measurement,
+            so only the terms it does predict move the shares.
+        charges_barrier: whether the predictor prices the ``barrier``
+            spans as communication.  A wire-only predictor does not:
+            on the process engine they measure rendezvous scheduling
+            jitter, which no network model should be charged with.
+        title / prediction / predicted_makespan_seconds / predictor:
+            carried onto the result for its report.
+    """
+    measured = dict.fromkeys(_SPAN_PHASES.values(), 0.0)
+    for span, phase in _SPAN_PHASES.items():
+        if charges_barrier or span != "barrier":
+            measured[phase] += breakdown.phase_seconds.get(span, 0.0)
+    predicted = {**measured, **predicted}
+    measured_total = sum(measured.values())
+    predicted_total = sum(predicted.values())
+    rows = tuple(
+        RatioRow(
+            phase=phase,
+            measured_seconds=measured[phase],
+            measured_fraction=_share(measured[phase], measured_total),
+            simulated_seconds=predicted[phase],
+            simulated_fraction=_share(predicted[phase], predicted_total),
+        )
+        for phase in measured
+    )
+    return CrossValidation(
+        title=title,
+        breakdown=breakdown,
+        prediction=prediction,
+        rows=rows,
+        predicted_makespan_seconds=predicted_makespan_seconds,
+        predictor=predictor,
+    )
 
 
 def cross_validate(
@@ -140,56 +201,19 @@ def cross_validate(
             run's model need not (and cannot) match their size.
     """
     sim = simulate(network, machine, scheme, exchange, world_size)
-
-    measured = {
-        group: sum(
-            breakdown.phase_seconds.get(name, 0.0) for name in names
-        )
-        for group, names in _MEASURED_GROUPS.items()
-    }
-    simulated = {
-        "compute": sim.compute_seconds,
-        "quantize": sim.quantize_seconds,
-        "communicate": sim.comm_seconds,
-    }
-    measured_total = sum(measured.values())
-    simulated_total = sum(simulated.values())
-    rows = tuple(
-        RatioRow(
-            phase=group,
-            measured_seconds=measured[group],
-            measured_fraction=(
-                measured[group] / measured_total if measured_total else 0.0
-            ),
-            simulated_seconds=simulated[group],
-            simulated_fraction=(
-                simulated[group] / simulated_total
-                if simulated_total
-                else 0.0
-            ),
-        )
-        for group in _MEASURED_GROUPS
-    )
-
-    if exchange == "mpi" and world_size > 1:
-        timeline = pipeline_timeline(
-            cached_cost_model(network, scheme, world_size),
-            get_machine(machine),
-            world_size,
-        )
-        makespan = timeline.makespan
-    else:
-        # simulated NCCL quantizes, then allreduces (paper Section 4.4)
-        makespan = sim.quantize_seconds + sim.comm_seconds
-
-    return CrossValidation(
-        network=network,
-        machine=machine,
-        scheme=scheme,
-        exchange=exchange,
-        world_size=world_size,
-        breakdown=breakdown,
-        simulated=sim,
-        predicted_makespan_seconds=makespan,
-        rows=rows,
+    return compare(
+        breakdown,
+        {
+            "compute": sim.compute_seconds,
+            "quantize": sim.quantize_seconds,
+            "communicate": sim.comm_seconds,
+        },
+        title=(
+            f"cross-validation [{breakdown.label}] vs simulated "
+            f"{network} on {machine} "
+            f"({scheme}/{exchange}/K={world_size})"
+        ),
+        prediction=sim,
+        predicted_makespan_seconds=sim.exchange_seconds,
+        predictor="simulated",
     )

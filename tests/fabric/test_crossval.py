@@ -48,8 +48,9 @@ class TestFabricCrossValidate:
         assert sum(r.simulated_fraction for r in cv.rows) == (
             pytest.approx(1.0)
         )
-        assert cv.predicted_comm_seconds == pytest.approx(
-            cv.fabric.makespan_seconds * 3 * 4
+        comm = next(r for r in cv.rows if r.phase == "communicate")
+        assert comm.simulated_seconds == pytest.approx(
+            cv.prediction.makespan_seconds * 3 * 4
         )
 
     def test_barrier_jitter_not_charged_to_the_fabric(self):
@@ -81,7 +82,7 @@ class TestFabricCrossValidate:
         assert by_phase["compute"].simulated_seconds == pytest.approx(1.0)
         assert by_phase["quantize"].simulated_seconds == pytest.approx(0.3)
         assert by_phase["communicate"].simulated_seconds == (
-            pytest.approx(cv.predicted_comm_seconds)
+            pytest.approx(cv.prediction.makespan_seconds * 3 * 4)
         )
 
     def test_pass_fail_threshold(self):

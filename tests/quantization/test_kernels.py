@@ -459,18 +459,28 @@ def test_bucketed_decode_rejects_corrupt_payload(backend, codec_key, corruption)
                 decode(bad)
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("codec_key", sorted(BUCKETED_CODE_SECTIONS))
 def test_nan_gradient_poisons_its_bucket_under_every_backend(backend, codec_key):
     # the absmax scale propagates a NaN like numpy's max: its bucket
-    # decodes to NaN on every backend and the other buckets stay finite
+    # decodes to NaN on every backend and the other buckets stay
+    # finite.  The NaN element's code is defined (level 0), with no
+    # invalid-cast warning, and every backend packs the numpy words.
     scheme, _, variant = codec_key.partition("-")
     kwargs = {"variant": variant} if variant else {}
     codec = make_quantizer(scheme, bucket_size=64, **kwargs)
     grad = _gradient((16, 16), seed=3)
     grad[5, 2] = np.nan  # column-major position 37: the first bucket
-    with kernels.use_backend(backend), np.errstate(invalid="ignore"):
-        decoded = codec.decode(codec.encode(grad, np.random.default_rng(0)))
+    with kernels.use_backend("numpy"):
+        reference = codec.encode(grad, np.random.default_rng(0))
+    with kernels.use_backend(backend):
+        message = codec.encode(grad, np.random.default_rng(0))
+        decoded = codec.decode(message)
+    section = BUCKETED_CODE_SECTIONS[codec_key]
+    np.testing.assert_array_equal(
+        message.payload[section], reference.payload[section]
+    )
     flat = decoded.ravel(order="F")
     assert np.isnan(flat[:64]).all()
     assert np.isfinite(flat[64:]).all()

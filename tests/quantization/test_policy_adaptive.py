@@ -187,8 +187,10 @@ class TestAssignmentShape:
         for name in ("conv1.W", "fc1.W"):
             codec = policy.codec_for_layer(name, grad.size)
             message = codec.encode(grad, np.random.default_rng(1))
+            # the codec routing picked is the one the wire tag names
             assert message.scheme == policy.assignments[name]
-            decoded = policy.decode(message)
+            assert codec.name == message.scheme
+            decoded = codec.decode(message)
             assert decoded.shape == grad.shape
             assert np.isfinite(decoded).all()
 

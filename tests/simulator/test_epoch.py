@@ -49,6 +49,40 @@ class TestBasics:
         assert result.iteration_seconds >= result.compute_seconds
         assert 0 < result.comm_fraction < 1
 
+    def test_overlap_rule_over_the_figure_cells(self):
+        # MPI double-buffers quantize against the wire: the exchange
+        # hides at most the smaller term, never all of it; simulated
+        # NCCL quantizes, then allreduces
+        from repro.simulator import PAPER_MPI_TABLE, PAPER_NCCL_TABLE
+
+        for exchange, table in (
+            ("mpi", PAPER_MPI_TABLE), ("nccl", PAPER_NCCL_TABLE),
+        ):
+            for network, schemes in table.items():
+                for scheme, cells in schemes.items():
+                    for world_size in cells.keys() - {1}:
+                        result = simulate(
+                            network, ec2_machine_for(world_size),
+                            scheme, exchange, world_size,
+                        )
+                        cell = (network, scheme, exchange, world_size)
+                        comm = result.comm_seconds
+                        quant = result.quantize_seconds
+                        overlapped = (
+                            result.iteration_seconds
+                            - result.compute_seconds
+                        )
+                        assert overlapped == pytest.approx(
+                            result.exchange_seconds
+                        ), cell
+                        if exchange == "nccl":
+                            assert result.exchange_seconds == (
+                                comm + quant
+                            ), cell
+                        elif comm > 0 and quant > 0:
+                            assert max(comm, quant) <= overlapped, cell
+                            assert overlapped < comm + quant, cell
+
 
 class TestPaperFindings:
     def test_low_precision_helps_mpi_on_comm_dominated_nets(self):

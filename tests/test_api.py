@@ -1,6 +1,10 @@
 """Public-API surface tests: the imports README and examples rely on."""
 
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +25,33 @@ class TestTopLevel:
 
         for name in repro.__all__:
             assert hasattr(repro, name), name
+
+    def test_import_loads_no_fabric_and_no_second_simulator(self):
+        # every runner cold start pays for what `import repro` loads:
+        # the fabric simulator stays behind its own import, and the
+        # deleted discrete-event exchange timeline stays deleted
+        import repro
+
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        path = os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p
+        )
+        probe = (
+            "import sys, repro; print(' '.join(sorted(m for m in "
+            "sys.modules if m.startswith('repro.'))))"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert result.returncode == 0, result.stderr
+        loaded = result.stdout.split()
+        assert "repro.simulator.epoch" in loaded  # the probe saw repro
+        assert not [m for m in loaded if m.startswith("repro.fabric")]
+        assert "repro.simulator.timeline" not in loaded
 
 
 SUBPACKAGES = [
