@@ -29,16 +29,18 @@ def test_exchange_throughput(benchmark, tensors, exchange_name, scheme):
     codec = make_quantizer(scheme)
     exchange = make_exchange(exchange_name, WORLD)
     rng = np.random.default_rng(0)
+    calls = 0
 
-    result = benchmark(
-        lambda: exchange.exchange("w", tensors, codec, rng)
-    )
+    def call():
+        nonlocal calls
+        calls += 1
+        return exchange.exchange("w", tensors, codec, rng)
+
+    result = benchmark(call)
     assert result.aggregate.shape == SHAPE
-    per_call = exchange.traffic.total_bytes / max(
-        len(exchange.traffic.records), 1
-    )
     print(
         f"\n{exchange_name}/{scheme}: "
-        f"{exchange.traffic.total_bytes / 1e6:.1f} MB total traffic "
-        f"({per_call / 1e3:.1f} KB per message) across all calls"
+        f"{exchange.wire_bytes / 1e6:.1f} MB total traffic "
+        f"({exchange.wire_bytes / calls / 1e3:.1f} KB per call) "
+        f"across {calls} calls"
     )

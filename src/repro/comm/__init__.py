@@ -4,21 +4,17 @@ from __future__ import annotations
 
 from .alltoall import AllToAllBroadcast
 from .base import ExchangeResult, GradientExchange
-from .message import LinkTraffic, TransferRecord
 from .mpi import MpiReduceBroadcast
 from .nccl import NcclRingAllreduce
-from .topology import partition_ranges, ring_order, ring_successor
+from .topology import partition_ranges, ring_successor
 
 __all__ = [
     "AllToAllBroadcast",
     "ExchangeResult",
     "GradientExchange",
-    "LinkTraffic",
-    "TransferRecord",
     "MpiReduceBroadcast",
     "NcclRingAllreduce",
     "partition_ranges",
-    "ring_order",
     "ring_successor",
     "make_exchange",
     "EXCHANGE_NAMES",

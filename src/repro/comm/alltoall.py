@@ -9,11 +9,7 @@ are verified against it in the integration tests.
 
 from __future__ import annotations
 
-import numpy as np
-
-from ..quantization.base import Quantizer
-from ..quantization.workspace import EncodeWorkspace
-from .base import ExchangeResult, GradientExchange
+from .base import GradientExchange
 
 __all__ = ["AllToAllBroadcast"]
 
@@ -23,44 +19,6 @@ class AllToAllBroadcast(GradientExchange):
 
     name = "alltoall"
 
-    def exchange(
-        self,
-        key: str,
-        tensors: list[np.ndarray],
-        codec: Quantizer,
-        rng: np.random.Generator,
-        workspace: EncodeWorkspace | None = None,
-    ) -> ExchangeResult:
-        shape = self._check_inputs(tensors)
-        ws = workspace if workspace is not None else EncodeWorkspace()
-        need_local = codec.requires_error_feedback
-        if need_local:
-            aggregate = ws.zeros("a2a.agg", shape)
-            decoder = None
-        else:
-            # fused decode-accumulate: same rank-order summation as the
-            # materializing path, hence bit-identical
-            decoder = codec.sum_decoder(shape, ws)
-        decoded_local: list[np.ndarray] | None = [] if need_local else None
-        tracer = self.tracer
-        for rank, tensor in enumerate(tensors):
-            with tracer.span("encode", rank):
-                message = codec.encode_into(
-                    np.asarray(tensor, dtype=np.float32), rng, ws
-                )
-            self._count_encode(message.nbytes, key)
-            for peer in range(self.world_size):
-                self.traffic.record(rank, peer, message.nbytes, tag=key)
-            if need_local:
-                with tracer.span("decode", rank):
-                    decoded = ws.array(("a2a.dl", rank), shape)
-                    codec.decode_into(message, decoded, workspace=ws)
-                    decoded_local.append(decoded)
-                    aggregate += decoded
-            else:
-                with tracer.span("decode", rank):
-                    decoder.add(message)
-            self._count_decode(message.nbytes, key)
-        if decoder is not None:
-            aggregate = decoder.result()
-        return ExchangeResult(aggregate=aggregate, decoded_local=decoded_local)
+    def _route(self, src: int, nbytes: int, key: str, dst: int | None) -> None:
+        for peer in range(self.world_size):
+            self._send(src, peer, nbytes, key)

@@ -1,10 +1,14 @@
-"""Collective-exchange interface shared by the MPI and NCCL paths.
+"""Collective-exchange skeleton shared by the MPI, NCCL and all-to-all paths.
 
 A :class:`GradientExchange` implements line 4-8 of the paper's
 Algorithm 1 for one gradient tensor: every rank contributes its local
 gradient, and every rank receives the identical aggregated (summed)
-gradient.  Implementations differ in data movement (and therefore in
-the bytes recorded on each link) and in where quantization is applied.
+gradient.  Every collective is one or more *reduces* — each rank
+encodes its part, the encoded bytes travel, the decodes are summed in
+rank order — written once here; an exchange declares only where the
+bytes of a reduce go (:meth:`GradientExchange._route`) and, for MPI,
+how the tensor is partitioned and broadcast back.  Bytes are recorded
+at one site, :meth:`GradientExchange._send`.
 """
 
 from __future__ import annotations
@@ -17,8 +21,6 @@ import numpy as np
 from ..quantization.base import Quantizer
 from ..quantization.workspace import EncodeWorkspace
 from ..telemetry.tracer import NULL_TRACER
-
-from .message import LinkTraffic
 
 __all__ = ["ExchangeResult", "GradientExchange"]
 
@@ -49,8 +51,15 @@ class GradientExchange(abc.ABC):
     """One collective pattern (MPI reduce-and-broadcast, NCCL ring...).
 
     Instances are stateful only where the real system is stateful
-    (e.g. the MPI path's aggregator-side error feedback); all traffic
-    is recorded into :attr:`traffic`.
+    (e.g. the MPI path's aggregator-side error feedback).
+
+    Attributes:
+        wire_bytes: bytes put on links since construction (or since the
+            owner zeroed it); self-sends are local hand-offs and free.
+        tracer: telemetry handle, installed by ``SynchronousStep`` when
+            tracing is on; the default null tracer makes every span a
+            shared no-op and has no counter sink, so untraced exchanges
+            pay only the call sites.
     """
 
     name: str = "exchange"
@@ -59,11 +68,22 @@ class GradientExchange(abc.ABC):
         if world_size < 1:
             raise ValueError(f"world_size must be >= 1, got {world_size}")
         self.world_size = world_size
-        self.traffic = LinkTraffic()
-        # telemetry handle, installed by SynchronousStep when tracing
-        # is on; the default null tracer makes every span a shared
-        # no-op, so untraced exchanges pay only the call sites
+        self.wire_bytes = 0
         self.tracer = NULL_TRACER
+
+    def _send(self, src: int, dst: int, nbytes: int, key: str) -> None:
+        """Put ``nbytes`` of stream ``key`` on the link ``src -> dst``.
+
+        The one place bytes are recorded: the total feeds
+        ``SynchronousStep.comm_bytes``, and a tracer's counter sink sees
+        every transfer (per rank up and down, and per layer).
+        """
+        if src == dst:
+            return  # local hand-off: nothing crosses a link
+        self.wire_bytes += nbytes
+        sink = self.tracer.counter_sink
+        if sink is not None:
+            sink.count_wire(src, dst, nbytes, key)
 
     def _count_encode(self, nbytes: int, key: str = "") -> None:
         """Mirror one codec encode into the tracer's typed counters.
@@ -83,6 +103,61 @@ class GradientExchange(abc.ABC):
             sink.count_decode(nbytes, key or None)
 
     @abc.abstractmethod
+    def _route(self, src: int, nbytes: int, key: str, dst: int | None) -> None:
+        """Send one rank's encoded part (``nbytes``) where it must go.
+
+        ``dst`` is the rank the reduce delivers to (MPI's range owner);
+        ``None`` for the allreduce patterns, which deliver to everyone.
+        """
+
+    def _images(
+        self, codec: Quantizer, shape: tuple[int, ...], ws: EncodeWorkspace
+    ) -> list[np.ndarray] | None:
+        """Per-rank round-trip image buffers, if error feedback needs them."""
+        if not codec.requires_error_feedback:
+            return None
+        return [
+            ws.array(("xchg.dl", rank), shape)
+            for rank in range(self.world_size)
+        ]
+
+    def _reduce(
+        self,
+        key: str,
+        parts: list[np.ndarray],
+        codec: Quantizer,
+        rng: np.random.Generator,
+        ws: EncodeWorkspace,
+        images: list[np.ndarray] | None,
+        dst: int | None = None,
+    ) -> np.ndarray:
+        """Encode every rank's part, route its bytes, sum the decodes.
+
+        With ``images`` each decode is materialized into its rank's
+        image (the error-feedback residual needs it) and added to the
+        sum; without, it folds straight into the codec's fused
+        ``sum_decoder``.  Both add in rank order onto zeros, so the
+        sums are bit-identical.  The returned sum is arena-backed.
+        """
+        tracer = self.tracer
+        if images is None:
+            decoder = codec.sum_decoder(parts[0].shape, ws)
+        else:
+            total = ws.zeros("xchg.sum", parts[0].shape)
+        for rank, part in enumerate(parts):
+            with tracer.span("encode", rank):
+                message = codec.encode_into(part, rng, ws)
+            self._count_encode(message.nbytes, key)
+            self._route(rank, message.nbytes, key, dst)
+            with tracer.span("decode", rank):
+                if images is None:
+                    decoder.add(message)
+                else:
+                    codec.decode_into(message, images[rank], workspace=ws)
+                    total += images[rank]
+            self._count_decode(message.nbytes, key)
+        return decoder.result() if images is None else total
+
     def exchange(
         self,
         key: str,
@@ -102,12 +177,19 @@ class GradientExchange(abc.ABC):
             workspace: scratch arena for the zero-allocation hot path
                 (``None``: a throwaway one).  Encode/decode run through
                 the codec's ``*_into`` kernels and per-rank decodes are
-                fused into a single running accumulator
-                (``decode_into(..., accumulate=True)``) in rank order,
+                fused into a single running accumulator in rank order,
                 so the aggregate is bit-identical to summing dense
                 decodes.  Not thread-safe: one workspace per exchanging
                 thread.
+
+        The allreduce patterns reduce the whole tensor in one pass.
         """
+        shape = self._check_inputs(tensors)
+        ws = workspace if workspace is not None else EncodeWorkspace()
+        images = self._images(codec, shape, ws)
+        parts = [np.asarray(t, dtype=np.float32) for t in tensors]
+        aggregate = self._reduce(key, parts, codec, rng, ws, images)
+        return ExchangeResult(aggregate=aggregate, decoded_local=images)
 
     def _check_inputs(self, tensors: list[np.ndarray]) -> tuple[int, ...]:
         if len(tensors) != self.world_size:

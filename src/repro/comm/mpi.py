@@ -59,6 +59,9 @@ class MpiReduceBroadcast(GradientExchange):
             return feedback
         return codec
 
+    def _route(self, src: int, nbytes: int, key: str, dst: int | None) -> None:
+        self._send(src, dst, nbytes, key)
+
     def exchange(
         self,
         key: str,
@@ -72,87 +75,56 @@ class MpiReduceBroadcast(GradientExchange):
         matrices = [
             np.asarray(t, dtype=np.float32).reshape(rows, -1) for t in tensors
         ]
-        n_cols = matrices[0].shape[1]
-        ranges = partition_ranges(n_cols, self.world_size)
         ws = workspace if workspace is not None else EncodeWorkspace()
-        # round-trip images are only materialized when the trainer
-        # needs them for error feedback
-        need_local = codec.requires_error_feedback
-        decoded_local = None
-        if need_local:
-            decoded_local = [
-                ws.array(("mpi.dl", rank), matrices[0].shape)
-                for rank in range(self.world_size)
-            ]
+        images = self._images(codec, shape, ws)
         aggregate = ws.array("mpi.agg", matrices[0].shape)
-
-        tracer = self.tracer
-        for owner, (lo, hi) in enumerate(ranges):
+        for owner, (lo, hi) in enumerate(
+            partition_ranges(aggregate.shape[1], self.world_size)
+        ):
             if lo == hi:
                 continue
             # reduce phase: every rank ships its quantized range to the
-            # owner, which folds each decode straight into the running
-            # sum — same per-rank summation order as materialize-then-
-            # add, so the aggregate is bit-identical
-            if need_local:
-                owner_sum = ws.zeros("mpi.osum", (rows, hi - lo))
-                decoder = None
-            else:
-                decoder = codec.sum_decoder((rows, hi - lo), ws)
-            for rank, matrix in enumerate(matrices):
-                with tracer.span("encode", rank):
-                    message = codec.encode_into(matrix[:, lo:hi], rng, ws)
-                self._count_encode(message.nbytes, key)
-                self.traffic.record(rank, owner, message.nbytes, tag=key)
-                if need_local:
-                    part = decoded_local[rank][:, lo:hi]
-                    with tracer.span("decode", rank):
-                        codec.decode_into(message, part, workspace=ws)
-                        owner_sum += part
-                else:
-                    with tracer.span("decode", rank):
-                        decoder.add(message)
-                self._count_decode(message.nbytes, key)
-            if decoder is not None:
-                owner_sum = decoder.result()
+            # owner, which sums the decodes
+            owner_sum = self._reduce(
+                key,
+                [matrix[:, lo:hi] for matrix in matrices],
+                codec,
+                rng,
+                ws,
+                None
+                if images is None
+                else [i.reshape(rows, -1)[:, lo:hi] for i in images],
+                dst=owner,
+            )
+            self._broadcast(
+                key, owner, owner_sum, aggregate[:, lo:hi], codec, rng, ws
+            )
+        return ExchangeResult(
+            aggregate=aggregate.reshape(shape), decoded_local=images
+        )
 
-            # broadcast phase: owner ships the aggregated range back
-            broadcast_codec = self._broadcast_codec(codec, owner)
-            target = aggregate[:, lo:hi]
-            if broadcast_codec is None:
-                target[...] = owner_sum
-                nbytes = self._fullprec.encoded_nbytes(owner_sum.shape)
-            elif isinstance(broadcast_codec, ErrorFeedback):
-                with tracer.span("encode", owner):
+    def _broadcast(self, key, owner, owner_sum, target, codec, rng, ws):
+        """Broadcast phase: the owner ships the aggregated range back."""
+        broadcast_codec = self._broadcast_codec(codec, owner)
+        if broadcast_codec is None:
+            target[...] = owner_sum
+            nbytes = self._fullprec.encoded_nbytes(owner_sum.shape)
+        else:
+            with self.tracer.span("encode", owner):
+                if isinstance(broadcast_codec, ErrorFeedback):
                     message = broadcast_codec.encode(
                         f"{key}/range{owner}", owner_sum, rng, workspace=ws
                     )
-                self._count_encode(message.nbytes, key)
-                with tracer.span("decode", owner):
-                    broadcast_codec.quantizer.decode_into(
-                        message, target, workspace=ws
-                    )
-                self._count_decode(message.nbytes, key)
-                nbytes = message.nbytes
-            else:
-                with tracer.span("encode", owner):
+                    broadcast_codec = broadcast_codec.quantizer
+                else:
                     message = broadcast_codec.encode_into(owner_sum, rng, ws)
-                self._count_encode(message.nbytes, key)
-                with tracer.span("decode", owner):
-                    broadcast_codec.decode_into(message, target, workspace=ws)
-                self._count_decode(message.nbytes, key)
-                nbytes = message.nbytes
-            for rank in range(self.world_size):
-                self.traffic.record(owner, rank, nbytes, tag=key)
-
-        return ExchangeResult(
-            aggregate=aggregate.reshape(shape),
-            decoded_local=(
-                [d.reshape(shape) for d in decoded_local]
-                if decoded_local is not None
-                else None
-            ),
-        )
+            nbytes = message.nbytes
+            self._count_encode(nbytes, key)
+            with self.tracer.span("decode", owner):
+                broadcast_codec.decode_into(message, target, workspace=ws)
+            self._count_decode(nbytes, key)
+        for rank in range(self.world_size):
+            self._send(owner, rank, nbytes, key)
 
     def state_dict(self) -> dict:
         """Aggregator-side broadcast residuals: owner -> stream -> array."""

@@ -1,15 +1,14 @@
-"""Topology helpers: contiguous range partitioning and ring orders.
+"""Topology helpers: contiguous range partitioning and the ring order.
 
 The MPI reduce-and-broadcast pattern assigns each rank a contiguous
 range of the flattened model (paper Section 2.4.1); NCCL builds a
-communication ring (Section 2.4.2).
+communication ring (Section 2.4.2), here the identity order — the
+performance simulator applies topology-aware link speeds on top.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-__all__ = ["partition_ranges", "ring_order", "ring_successor"]
+__all__ = ["partition_ranges", "ring_successor"]
 
 
 def partition_ranges(n: int, world_size: int) -> list[tuple[int, int]]:
@@ -33,23 +32,6 @@ def partition_ranges(n: int, world_size: int) -> list[tuple[int, int]]:
     return ranges
 
 
-def ring_order(world_size: int) -> list[int]:
-    """Rank order around the NCCL-style ring (identity order here).
-
-    Real NCCL derives the ring from the PCIe/NVLink topology; for the
-    in-process cluster the identity ring is sufficient, and the
-    performance simulator applies topology-aware link speeds on top.
-    """
-    if world_size < 1:
-        raise ValueError(f"world_size must be >= 1, got {world_size}")
-    return list(range(world_size))
-
-
 def ring_successor(rank: int, world_size: int) -> int:
     """The next rank around the ring."""
     return (rank + 1) % world_size
-
-
-def concat_ranges(parts: list[np.ndarray]) -> np.ndarray:
-    """Reassemble range-partitioned pieces into one flat vector."""
-    return np.concatenate(parts) if parts else np.zeros(0, dtype=np.float32)

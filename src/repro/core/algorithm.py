@@ -10,6 +10,7 @@ schemes and the small-matrix passthrough policy.
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -20,6 +21,7 @@ from ..quantization import (
     AdaptiveBitWidthPolicy,
     EncodeWorkspace,
     QuantizationPolicy,
+    Quantizer,
     make_quantizer,
 )
 from ..statetree import load_arrays
@@ -84,11 +86,10 @@ class SynchronousStep:
             config.exchange, config.world_size, **exchange_kwargs
         )
         # observation-only telemetry: the exchange records encode/
-        # decode spans on per-rank tracks, and link traffic mirrors
-        # wire bytes into the tracer's counters at the recording site
+        # decode spans on per-rank tracks and mirrors wire bytes into
+        # the tracer's counters at its one recording site
         self.tracer = config.tracer if config.tracer is not None else NULL_TRACER
         self.exchange.tracer = self.tracer
-        self.exchange.traffic.counters = self.tracer.counter_sink
         self.rng = np.random.default_rng(config.seed)
         # scratch arena for the zero-allocation hot path; exchanges run
         # on one coordinator thread in every engine, so one arena is
@@ -226,21 +227,15 @@ class SynchronousStep:
     ) -> np.ndarray:
         """Exchange one parameter's per-rank gradients; return the mean.
 
-        Applies the small-matrix passthrough policy, per-rank error
-        feedback when the scheme is biased, and records all wire
-        traffic on ``self.exchange.traffic``.
+        Applies the codec choice of :meth:`codec_for` and per-rank
+        error feedback when the scheme is biased; the exchange counts
+        the wire bytes (:attr:`comm_bytes`).
         """
         if len(rank_grads) != self.world_size:
             raise ValueError(
                 f"expected {self.world_size} gradients, got {len(rank_grads)}"
             )
-        codec = self.policy.codec_for_layer(name, rank_grads[0].size)
-        if (
-            self._quantized_kinds is not None
-            and self._kind_by_name.get(name, "param")
-            not in self._quantized_kinds
-        ):
-            codec = self.policy.fullprec
+        codec = self.codec_for(name, rank_grads[0].size)
         use_feedback = codec.requires_error_feedback
         ws = self.workspace
         scale = self.world_size
@@ -313,33 +308,35 @@ class SynchronousStep:
             for name in names
         }
 
-    def payload_nbytes(self, name: str, shape: tuple[int, ...]) -> int:
-        """Encoded size of one rank's wire contribution for ``name``.
+    def codec_for(self, name: str, size: int) -> Quantizer:
+        """The codec parameter ``name`` (``size`` elements) travels with.
 
-        Applies the same codec selection as :meth:`aggregate` (the
-        small-matrix passthrough policy and layer-kind selectivity),
-        so the runtime's link pacing charges exactly the bytes the
-        scheme would put on the wire.
+        The policy's choice (small-matrix passthrough, adaptive
+        per-layer bit-widths), overridden to full precision for a layer
+        kind left unquantized (Section 5.1, layer types).  The exchange
+        and the link pacing (:meth:`payload_nbytes`) both ask here, so
+        pacing charges the payload of the codec the exchange encodes
+        with.
         """
-        size = 1
-        for dim in shape:
-            size *= int(dim)
-        codec = self.policy.codec_for_layer(name, size)
         if (
             self._quantized_kinds is not None
             and self._kind_by_name.get(name, "param")
             not in self._quantized_kinds
         ):
-            codec = self.policy.fullprec
-        return codec.encoded_nbytes(shape)
+            return self.policy.fullprec
+        return self.policy.codec_for_layer(name, size)
+
+    def payload_nbytes(self, name: str, shape: tuple[int, ...]) -> int:
+        """Encoded size of one rank's wire contribution for ``name``."""
+        return self.codec_for(name, math.prod(shape)).encoded_nbytes(shape)
 
     @property
     def comm_bytes(self) -> int:
         """Total bytes moved since construction (or last reset)."""
-        return self.exchange.traffic.total_bytes + self._comm_bytes_base
+        return self.exchange.wire_bytes + self._comm_bytes_base
 
     def reset_traffic(self) -> None:
-        self.exchange.traffic.reset()
+        self.exchange.wire_bytes = 0
         self._comm_bytes_base = 0
 
     # -- state tree -------------------------------------------------------
@@ -390,7 +387,7 @@ class SynchronousStep:
             # fields — but the saved table defines the trajectory)
             self.policy.assignments = dict(state["policy_assignments"])
         self._comm_bytes_base = (
-            int(state["comm_bytes"]) - self.exchange.traffic.total_bytes
+            int(state["comm_bytes"]) - self.exchange.wire_bytes
         )
         for position, rank in enumerate(self.rank_ids):
             held = state["ranks"][str(rank)]

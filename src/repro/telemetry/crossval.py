@@ -27,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from ..simulator.epoch import simulate
 from .export import PhaseBreakdown
 
 __all__ = [
@@ -200,6 +199,8 @@ def cross_validate(
             costs; the comparison is by phase *ratio*, so the live
             run's model need not (and cannot) match their size.
     """
+    from ..simulator.epoch import simulate  # off the `import repro` path
+
     sim = simulate(network, machine, scheme, exchange, world_size)
     return compare(
         breakdown,

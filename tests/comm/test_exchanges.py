@@ -15,6 +15,8 @@ from repro.comm import (
     make_exchange,
 )
 from repro.quantization import FullPrecision, make_quantizer
+from repro.telemetry import Tracer
+from repro.telemetry.tracer import NullTracer
 
 
 def make_tensors(world_size, shape=(32, 100), seed=0):
@@ -27,6 +29,22 @@ def make_tensors(world_size, shape=(32, 100), seed=0):
 
 
 EXCHANGES = ["mpi", "nccl", "alltoall"]
+
+
+class Ledger(NullTracer):
+    """Untimed tracer whose counter sink keeps every wire transfer."""
+
+    def __init__(self):
+        self.counter_sink = self
+        self.transfers = []
+
+    def count_wire(self, src, dst, nbytes, tag=""):
+        self.transfers.append((src, dst, nbytes))
+
+    def count_encode(self, nbytes, key=None):
+        pass
+
+    count_decode = count_encode
 
 
 class TestExactSum:
@@ -44,21 +62,18 @@ class TestExactSum:
 
     @pytest.mark.parametrize("name", EXCHANGES)
     def test_decoded_local_is_input_for_fullprec(self, name):
-        # full precision needs no error feedback, so its round-trip
-        # images are fused away -- except NCCL's exact sum, which holds
-        # them for free: they are the inputs themselves
+        # full precision needs no error feedback, so on every exchange
+        # its round-trip images (the inputs themselves) are fused away
+        # into an exact sum
         tensors = make_tensors(3)
         exchange = make_exchange(name, 3)
         result = exchange.exchange(
             "w", tensors, FullPrecision(), np.random.default_rng(0)
         )
-        if name != "nccl":
-            assert result.decoded_local is None
-            return
-        for rank in range(3):
-            np.testing.assert_array_equal(
-                result.decoded_local[rank], tensors[rank]
-            )
+        assert result.decoded_local is None
+        np.testing.assert_array_equal(
+            result.aggregate, tensors[0] + tensors[1] + tensors[2]
+        )
 
 
 class TestQuantizedAggregation:
@@ -118,7 +133,7 @@ class TestByteAccounting:
             "w", tensors, FullPrecision(), np.random.default_rng(0)
         )
         payload = 64 * 64 * 4
-        total = exchange.traffic.total_bytes
+        total = exchange.wire_bytes
         expected = 2 * (world_size - 1) * payload
         # headers add a small constant per message
         assert expected <= total <= expected * 1.05
@@ -131,7 +146,7 @@ class TestByteAccounting:
         quant.exchange(
             "w", tensors, make_quantizer("qsgd4"), np.random.default_rng(0)
         )
-        ratio = full.traffic.total_bytes / quant.traffic.total_bytes
+        ratio = full.wire_bytes / quant.wire_bytes
         assert 6 < ratio < 9  # ~32/4 minus scale/header overhead
 
     def test_nccl_ring_traffic_is_bandwidth_optimal(self):
@@ -139,11 +154,12 @@ class TestByteAccounting:
         # large tensor so slice padding is negligible
         tensors = make_tensors(world_size, shape=(512, 512))
         exchange = NcclRingAllreduce(world_size)
+        exchange.tracer = tracer = Tracer()
         exchange.exchange(
             "w", tensors, FullPrecision(), np.random.default_rng(0)
         )
         payload = 512 * 512 * 4
-        per_rank = exchange.traffic.sent_by(0)
+        per_rank = tracer.counters.bytes_sent(0)
         optimal = 2 * (world_size - 1) / world_size * payload
         assert optimal <= per_rank <= optimal * 1.1
 
@@ -151,20 +167,23 @@ class TestByteAccounting:
         world_size = 4
         tensors = make_tensors(world_size)
         exchange = NcclRingAllreduce(world_size)
+        exchange.tracer = ledger = Ledger()
         exchange.exchange(
             "w", tensors, FullPrecision(), np.random.default_rng(0)
         )
-        for record in exchange.traffic.records:
-            assert record.dst == (record.src + 1) % world_size
+        assert len(ledger.transfers) == world_size
+        for src, dst, _ in ledger.transfers:
+            assert dst == (src + 1) % world_size
 
     def test_alltoall_moves_k_times_k_minus_one_messages(self):
         world_size = 3
         tensors = make_tensors(world_size, shape=(8, 8))
         exchange = AllToAllBroadcast(world_size)
+        exchange.tracer = ledger = Ledger()
         exchange.exchange(
             "w", tensors, FullPrecision(), np.random.default_rng(0)
         )
-        assert len(exchange.traffic.records) == world_size * (world_size - 1)
+        assert len(ledger.transfers) == world_size * (world_size - 1)
 
     def test_single_rank_no_traffic(self):
         for name in EXCHANGES:
@@ -175,7 +194,7 @@ class TestByteAccounting:
                 make_quantizer("qsgd4"),
                 np.random.default_rng(0),
             )
-            assert exchange.traffic.total_bytes == 0
+            assert exchange.wire_bytes == 0
             assert result.aggregate.shape == (32, 100)
 
 

@@ -14,15 +14,15 @@ wrappers, materializing every per-rank round trip:
 The aggregate must match it bit for bit, with identical wire bytes, and
 error-feedback schemes must return the reference's per-rank round-trip
 images -- both with a caller's workspace and with ``workspace=None``
-(a throwaway one).  Unbiased schemes skip materializing those images:
-``decoded_local`` is ``None`` unless NCCL sums in full precision, where
-the images are the inputs themselves.
+(a throwaway one).  Unbiased schemes, full precision included, skip
+materializing those images: ``decoded_local`` is ``None``.
 """
 
 import numpy as np
 import pytest
 
 from repro.comm import EXCHANGE_NAMES, make_exchange
+from repro.comm.nccl import DEFAULT_SLICE_BYTES
 from repro.quantization import EncodeWorkspace, FullPrecision, make_quantizer
 
 SCHEMES = ["32bit", "qsgd4", "qsgd2", "1bit", "1bit*", "aqsgd4"]
@@ -53,7 +53,7 @@ def _reference_sum(exchange, codec, tensors, rng):
         # ring: reduce-scatter + allgather of ceil(payload / K)-byte
         # chunks, each padded up to whole pipeline slices
         chunk = -(-nbytes[-1] // WORLD)
-        chunk = -(-chunk // exchange.slice_bytes) * exchange.slice_bytes
+        chunk = -(-chunk // DEFAULT_SLICE_BYTES) * DEFAULT_SLICE_BYTES
         wire = WORLD * chunk * 2 * (WORLD - 1)
     return aggregate, list(decoded), wire
 
@@ -140,7 +140,7 @@ class TestFusedMatchesAllocating:
 
     def test_wire_bytes_unchanged(self, exchange_name, scheme):
         for _, exchange, _, (_, _, wire) in _runs(exchange_name, scheme):
-            assert exchange.traffic.total_bytes == wire
+            assert exchange.wire_bytes == wire
 
     def test_decoded_local_contract(self, exchange_name, scheme):
         for codec, _, result, (_, decoded, _) in _runs(exchange_name, scheme):
@@ -149,11 +149,6 @@ class TestFusedMatchesAllocating:
                 assert len(result.decoded_local) == WORLD
                 for mine, theirs in zip(result.decoded_local, decoded):
                     np.testing.assert_array_equal(_bits(mine), _bits(theirs))
-            elif exchange_name == "nccl" and scheme == "32bit":
-                # full-precision NCCL sums exactly: the round-trip images
-                # are the inputs themselves, so they come back for free
-                for mine, theirs in zip(result.decoded_local, _tensors()):
-                    np.testing.assert_array_equal(mine, theirs)
             else:
                 # unbiased schemes fuse: no per-rank tensors materialized
                 assert result.decoded_local is None

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from repro.comm import make_exchange
 from repro.quantization import FullPrecision, make_quantizer
+from repro.telemetry import Tracer
 
 SCHEMES = st.sampled_from(["32bit", "qsgd4", "qsgd8", "1bit*"])
 EXCHANGES = st.sampled_from(["mpi", "nccl", "alltoall"])
@@ -68,11 +69,9 @@ class TestExchangeProperties:
         )
         assert result.aggregate.shape == tuple(shape)
         assert np.isfinite(result.aggregate).all()
-        # round-trip images exist for error feedback (and NCCL's exact
-        # full-precision sum); otherwise they were fused away
-        if codec.requires_error_feedback or (
-            exchange_name == "nccl" and scheme == "32bit"
-        ):
+        # round-trip images exist for error feedback; otherwise they
+        # were fused away
+        if codec.requires_error_feedback:
             assert len(result.decoded_local) == world_size
         else:
             assert result.decoded_local is None
@@ -88,20 +87,21 @@ class TestExchangeProperties:
         self, scheme, world_size, shape, seed
     ):
         # in the reduce-and-broadcast pattern every rank sends its
-        # ranges and every owner broadcasts: totals balance globally
+        # ranges and every owner broadcasts: totals balance globally,
+        # and the traced per-rank counters see every byte the exchange
+        # counted
         tensors = rank_tensors(world_size, shape, seed)
         exchange = make_exchange("mpi", world_size)
+        exchange.tracer = tracer = Tracer()
         exchange.exchange(
             "w", tensors, make_quantizer(scheme), np.random.default_rng(0)
         )
-        sent = sum(
-            exchange.traffic.sent_by(rank) for rank in range(world_size)
-        )
+        counters = tracer.counters
+        sent = sum(counters.bytes_sent(rank) for rank in range(world_size))
         received = sum(
-            exchange.traffic.received_by(rank)
-            for rank in range(world_size)
+            counters.bytes_received(rank) for rank in range(world_size)
         )
-        assert sent == received == exchange.traffic.total_bytes
+        assert sent == received == exchange.wire_bytes
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -130,4 +130,4 @@ class TestExchangeProperties:
             np.random.default_rng(0),
         )
         # 8-bit codes + per-bucket scales always beat 32-bit floats
-        assert quant.traffic.total_bytes <= full.traffic.total_bytes
+        assert quant.wire_bytes <= full.wire_bytes

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.comm import partition_ranges, ring_order, ring_successor
+from repro.comm import NcclRingAllreduce, partition_ranges, ring_successor
 
 
 class TestPartitionRanges:
@@ -38,7 +38,11 @@ class TestPartitionRanges:
 
 class TestRing:
     def test_ring_order(self):
-        assert ring_order(4) == [0, 1, 2, 3]
+        # the identity order: one cycle through every rank
+        order = [0]
+        while len(order) < 5:
+            order.append(ring_successor(order[-1], 4))
+        assert order == [0, 1, 2, 3, 0]
 
     def test_successor_wraps(self):
         assert ring_successor(3, 4) == 0
@@ -46,4 +50,4 @@ class TestRing:
 
     def test_invalid_world(self):
         with pytest.raises(ValueError):
-            ring_order(0)
+            NcclRingAllreduce(0)

@@ -7,8 +7,9 @@ contracts pin the tier down:
 
 * **N=1 is the identity.**  The default frequency takes the exact
   pre-aggregation code path — every existing trajectory is reproduced
-  bit for bit (covered here indirectly via engine parity at N>1 and
-  directly by the CI reference-digest job).
+  bit for bit: four ``repro train`` cells, one per exchange (and the
+  process engine), reproduce history digests produced before the
+  aggregation tier existed (:class:`TestPinnedReferenceDigests`).
 * **N>1 is engine-invariant and crash-safe.**  Sequential, threaded
   and process engines agree bit for bit mid-round and at round
   boundaries; a checkpoint taken mid-round (accumulators part-filled,
@@ -17,9 +18,12 @@ contracts pin the tier down:
   divides the round length.
 """
 
+import re
+
 import numpy as np
 import pytest
 
+from repro.cli import main
 from repro.core import (
     CheckpointPolicy,
     ParallelTrainer,
@@ -93,6 +97,43 @@ def assert_identical(run_a, run_b):
 
 
 CONCURRENT_ENGINES = ["threaded", "process"]
+
+
+#: (scheme, exchange, engine, world size) -> history digest of
+#: ``repro train --aggregation-frequency 1 --epochs 2 --train-samples 64
+#: --test-samples 32 --batch-size 16 --seed 3``, written by the tree
+#: before the aggregation tier existed
+REFERENCE_DIGESTS = {
+    ("qsgd4", "nccl", "sequential", 2):
+        "d161a8805dba946adbb1679be9bd5d2ed8039230431e9d0d9cf7a62479c534c7",
+    ("1bit", "mpi", "threaded", 2):
+        "4c85b0d677ed4d136d35770adf54fdaf60768bb1eca8690cab14d4244f408209",
+    ("32bit", "alltoall", "sequential", 4):
+        "1b739e9bc5d33c4989077d9e6b0f408e0be16a6d82a0192928dd82047caea982",
+    ("1bit*", "nccl", "process", 2):
+        "c5fa375e7b8d941a75cbc882fb636cb245d00516e88e6d77884fd2c046269c9d",
+}
+
+
+class TestPinnedReferenceDigests:
+    @pytest.mark.parametrize(
+        "scheme,exchange,engine,world",
+        sorted(REFERENCE_DIGESTS),
+        ids=lambda v: str(v),
+    )
+    def test_n1_reproduces_the_reference_digest(
+        self, scheme, exchange, engine, world, capsys
+    ):
+        assert main([
+            "train", "--scheme", scheme, "--exchange", exchange,
+            "--engine", engine, "--world-size", str(world),
+            "--aggregation-frequency", "1", "--epochs", "2",
+            "--train-samples", "64", "--test-samples", "32",
+            "--batch-size", "16", "--seed", "3",
+        ]) == 0
+        out = capsys.readouterr().out
+        digest = re.search(r"history digest: ([0-9a-f]{64})", out).group(1)
+        assert digest == REFERENCE_DIGESTS[scheme, exchange, engine, world]
 
 
 class TestEngineParityWithAggregation:

@@ -1,8 +1,8 @@
 """Traced counters agree with the exchange's own traffic accounting.
 
 The tracer's wire-byte counters are fed from
-:meth:`repro.comm.message.LinkTraffic.record` itself, so parity with
-``History.comm_bytes`` is structural — these tests pin it across the
+:meth:`repro.comm.base.GradientExchange._send`, the one site that also
+counts ``History.comm_bytes``, so parity is structural — these tests pin it across the
 scheme x exchange x engine grid, together with the codec-call
 invariant (every encoded message is decoded exactly once).
 """

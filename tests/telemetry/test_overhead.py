@@ -12,9 +12,11 @@ import time
 import tracemalloc
 
 import numpy as np
+import pytest
 
 from repro.core.algorithm import SynchronousStep
 from repro.core.config import TrainingConfig
+from repro.quantization import kernels
 from repro.telemetry import NULL_TRACER
 
 WORLD_SIZE = 4
@@ -69,7 +71,7 @@ def test_untraced_step_uses_null_tracer():
     step = build_step()
     assert step.tracer is NULL_TRACER
     assert step.exchange.tracer is NULL_TRACER
-    assert step.exchange.traffic.counters is None
+    assert step.exchange.tracer.counter_sink is None
 
 
 def test_null_span_cost_is_under_two_percent_of_step_time():
@@ -137,11 +139,24 @@ def _steady_state_alloc_per_step(steps: int = 10) -> float:
 
 
 def test_null_traced_hot_path_allocation_stays_at_baseline():
-    # the workspace hot path's only steady-state allocations are the
-    # pre-existing LinkTraffic transfer records plus, under the
-    # compiled kernel backends, transient ctypes argument objects
-    # (~KBs/step, vs ~MBs on the allocating path); disabled tracing
-    # must not add to them — a span object per encode/decode per rank
-    # would add tens of KB/step and show up immediately here
+    # the workspace hot path's only steady-state allocations are
+    # transient per-call objects (slices, lists, message headers and,
+    # under the compiled kernel backend, ctypes arguments; ~KBs/step,
+    # vs ~MBs on the allocating path); disabled tracing must not add
+    # to them — a span object per encode/decode per rank would add
+    # tens of KB/step and show up immediately here
     per_step = _steady_state_alloc_per_step()
     assert per_step < 32_768, f"{per_step:.0f} B/step allocated"
+
+
+@pytest.mark.skipif(
+    "cext" not in kernels.available_backends(),
+    reason="compiled kernel backend unavailable",
+)
+def test_compiled_hot_path_keeps_no_per_transfer_record():
+    # under the compiled backend the step allocates ~210 B/step; a
+    # ledger that kept an object per transfer (as a per-transfer record
+    # list once did, ~1.7 KB/step on this step) breaks the bound
+    with kernels.use_backend("cext"):
+        per_step = _steady_state_alloc_per_step()
+    assert per_step < 1_024, f"{per_step:.0f} B/step allocated"

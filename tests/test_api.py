@@ -28,8 +28,8 @@ class TestTopLevel:
 
     def test_import_loads_no_fabric_and_no_second_simulator(self):
         # every runner cold start pays for what `import repro` loads:
-        # the fabric simulator stays behind its own import, and the
-        # deleted discrete-event exchange timeline stays deleted
+        # the fabric and the epoch simulator stay behind their own
+        # imports (crossval loads the latter when it runs)
         import repro
 
         src = str(Path(repro.__file__).resolve().parent.parent)
@@ -49,9 +49,9 @@ class TestTopLevel:
         )
         assert result.returncode == 0, result.stderr
         loaded = result.stdout.split()
-        assert "repro.simulator.epoch" in loaded  # the probe saw repro
+        assert "repro.telemetry.crossval" in loaded  # the probe saw repro
         assert not [m for m in loaded if m.startswith("repro.fabric")]
-        assert "repro.simulator.timeline" not in loaded
+        assert not [m for m in loaded if m.startswith("repro.simulator")]
 
 
 SUBPACKAGES = [

@@ -4,7 +4,9 @@ The strongest consistency check in the repository: the performance
 simulator's *analytic* byte counts must agree with the bytes the real
 communication layer actually puts on the wire when exchanging
 gradients of the same shapes — the two are computed by entirely
-different code paths.
+different code paths.  They agree exactly on the MPI path; on the NCCL
+ring they differ by exactly the ring's slice padding, which only the
+comm layer charges.
 """
 
 import numpy as np
@@ -12,7 +14,7 @@ import pytest
 
 from repro.comm import MpiReduceBroadcast, NcclRingAllreduce
 from repro.models.specs import GradientMatrixSpec, NetworkSpec
-from repro.quantization import make_quantizer
+from repro.quantization import SCHEME_NAMES, make_quantizer
 from repro.simulator import NetworkCostModel
 
 
@@ -41,9 +43,18 @@ def tiny_network() -> NetworkSpec:
 WORLD = 4
 
 
-def exchange_all_layers(exchange, codec, spec):
+#: every registered scheme plus one example of each extension syntax
+BYTE_MODEL_SCHEMES = SCHEME_NAMES + ("aqsgd4", "topk0.01", "terngrad2.5")
+
+
+def exchange_spec(exchange, cost):
+    """Route each layer of ``cost``'s spec through the codec it chose."""
     rng = np.random.default_rng(0)
-    for layer in spec.layers:
+    for matrix_cost in cost.matrices:
+        layer = matrix_cost.spec
+        codec = (
+            cost.codec if matrix_cost.quantized else make_quantizer("32bit")
+        )
         tensors = [
             np.random.default_rng(rank)
             .normal(size=layer.shape)
@@ -54,61 +65,38 @@ def exchange_all_layers(exchange, codec, spec):
 
 
 class TestSimulatorMatchesCommLayer:
-    @pytest.mark.parametrize(
-        "scheme", ["32bit", "qsgd4", "qsgd8", "1bit", "1bit*"]
-    )
+    @pytest.mark.parametrize("scheme", BYTE_MODEL_SCHEMES)
     def test_mpi_reduce_traffic_matches_cost_model(self, scheme):
-        spec = tiny_network()
         cost = NetworkCostModel(
-            spec, scheme, world_size=WORLD, passthrough_coverage=0.99
+            tiny_network(), scheme, world_size=WORLD,
+            passthrough_coverage=0.99,
         )
-
-        # route each layer through the same codec the cost model chose
         exchange = MpiReduceBroadcast(WORLD, requantize_broadcast=True)
-        rng = np.random.default_rng(0)
-        for layer, matrix_cost in zip(spec.layers, cost.matrices):
-            codec = (
-                cost.codec
-                if matrix_cost.quantized
-                else make_quantizer("32bit")
-            )
-            tensors = [
-                np.random.default_rng(rank)
-                .normal(size=layer.shape)
-                .astype(np.float32)
-                for rank in range(WORLD)
-            ]
-            exchange.exchange(layer.name, tensors, codec, rng)
-
+        exchange_spec(exchange, cost)
         # reduce phase sends (K-1) x range payload; the requantized
         # broadcast phase sends (K-1) x the same payload again
-        expected = 2 * (WORLD - 1) * cost.total_range_bytes
-        actual = exchange.traffic.total_bytes
-        assert actual == pytest.approx(expected, rel=0.02)
+        assert exchange.wire_bytes == 2 * (WORLD - 1) * cost.total_range_bytes
 
     def test_nccl_ring_traffic_matches_cost_model(self):
-        spec = tiny_network()
-        cost = NetworkCostModel(spec, "qsgd8", world_size=WORLD)
-        # disable slice padding so the analytic count is exact
-        exchange = NcclRingAllreduce(WORLD, slice_bytes=1)
-        rng = np.random.default_rng(0)
-        for layer, matrix_cost in zip(spec.layers, cost.matrices):
-            codec = (
-                cost.codec
-                if matrix_cost.quantized
-                else make_quantizer("32bit")
+        # the ring pads each rank's ceil(payload / K)-byte chunk up to
+        # whole 8 KiB slices; the simulator charges the unpadded
+        # 2(K-1)/K of each rank's payload.  On this spec every chunk
+        # fits one slice, so every scheme records the same bytes -- the
+        # padding gap of ROADMAP item 2(b), pinned here, not fixed
+        slice_bytes = 8 * 1024
+        for scheme in BYTE_MODEL_SCHEMES:
+            cost = NetworkCostModel(tiny_network(), scheme, world_size=WORLD)
+            exchange = NcclRingAllreduce(WORLD)
+            exchange_spec(exchange, cost)
+            chunks = [-(-m.whole_bytes // WORLD) for m in cost.matrices]
+            padded = [-(-c // slice_bytes) * slice_bytes for c in chunks]
+            ring = WORLD * 2 * (WORLD - 1)
+            assert exchange.wire_bytes == ring * sum(padded) == 786_432
+            simulated = 2 * (WORLD - 1) / WORLD * cost.total_whole_bytes
+            padding = ring * sum(padded) - 2 * (WORLD - 1) * sum(
+                m.whole_bytes for m in cost.matrices
             )
-            tensors = [
-                np.random.default_rng(rank)
-                .normal(size=layer.shape)
-                .astype(np.float32)
-                for rank in range(WORLD)
-            ]
-            exchange.exchange(layer.name, tensors, codec, rng)
-        expected = 2 * (WORLD - 1) * cost.total_whole_bytes
-        actual = exchange.traffic.total_bytes
-        # ceil-per-chunk rounding adds at most a few bytes per message
-        assert actual == pytest.approx(expected, rel=0.02)
+            assert exchange.wire_bytes - simulated * WORLD == padding > 0
 
     def test_passthrough_threshold_agrees_across_layers(self):
         # the cost model and the trainer's policy must route the same
