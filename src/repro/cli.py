@@ -46,7 +46,6 @@ from .core import (
     latest_checkpoint,
 )
 from .core.runspec import add_run_arguments, argparse_type
-from .fabric import PATTERN_NAMES, TOPOLOGY_NAMES
 from .models.specs import NETWORKS
 from .quantization import kernels, validate_scheme
 from .runtime import ENGINE_NAMES
@@ -212,6 +211,26 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         print()
         print(validation.report())
     return 0
+
+
+class _FabricChoices:
+    """argparse ``choices`` read from :mod:`repro.fabric` when first
+    checked or listed, so commands other than ``fabric`` never import
+    the simulator."""
+
+    def __init__(self, names: str, extra: tuple[str, ...] = ()):
+        self.names, self.extra = names, extra
+
+    def _choices(self) -> tuple[str, ...]:
+        from . import fabric
+
+        return self.extra + getattr(fabric, self.names)
+
+    def __contains__(self, value) -> bool:
+        return value in self._choices()
+
+    def __iter__(self):
+        return iter(self._choices())
 
 
 def _fabric_faults(args: argparse.Namespace):
@@ -564,7 +583,8 @@ def build_parser() -> argparse.ArgumentParser:
         "(per-link queueing, failures, traces, K-sweeps)",
     )
     fabric.add_argument(
-        "--topology", default="leaf-spine", choices=TOPOLOGY_NAMES,
+        "--topology", default="leaf-spine",
+        choices=_FabricChoices("TOPOLOGY_NAMES"),
         help="fabric family: single-node star (pcie/nvlink) or "
         "two-level Clos (fat-tree/leaf-spine)",
     )
@@ -573,7 +593,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fabric.add_argument(
         "--pattern", default="auto",
-        choices=("auto",) + PATTERN_NAMES,
+        choices=_FabricChoices("PATTERN_NAMES", ("auto",)),
         help="collective schedule; 'auto' simulates every candidate "
         "and picks the minimum-makespan one",
     )

@@ -37,7 +37,8 @@ class MpiReduceBroadcast(GradientExchange):
         #: full precision broadcast the exact aggregate.
         self.requantize_broadcast = requantize_broadcast
         self._fullprec = FullPrecision()
-        # aggregator-side error feedback, one residual per (key, owner)
+        # aggregator-side error feedback: one wrapper per owner, one
+        # residual per stream
         self._broadcast_feedback: dict[int, ErrorFeedback] = {}
         # residuals restored from a checkpoint before the codec is
         # known; adopted lazily the first time each owner's feedback
@@ -50,11 +51,16 @@ class MpiReduceBroadcast(GradientExchange):
             return None
         if codec.requires_error_feedback:
             feedback = self._broadcast_feedback.get(owner)
-            if feedback is None:
-                feedback = ErrorFeedback(codec)
-                feedback._residuals.update(
+            if feedback is None or feedback.quantizer is not codec:
+                # one wrapper per owner, re-quantizing with the codec of
+                # the stream at hand; its per-stream residuals carry over
+                residuals = (
                     self._restored_residuals.pop(owner, {})
+                    if feedback is None
+                    else feedback._residuals
                 )
+                feedback = ErrorFeedback(codec)
+                feedback._residuals.update(residuals)
                 self._broadcast_feedback[owner] = feedback
             return feedback
         return codec

@@ -199,6 +199,12 @@ class Quantizer:
         zero = np.zeros(shape, dtype=np.float32)
         return self.encode(zero, np.random.default_rng(0)).nbytes
 
+    def draw_lanes(self, shape: tuple[int, ...]) -> tuple[int, int] | None:
+        """Shape of the float64 uniform block an encode of ``shape``
+        draws, when one ``rng.random`` fill of it is the encode's only
+        use of the generator; ``None`` for every other codec."""
+        return None
+
     def group_count(self, shape: tuple[int, ...]) -> int:
         """Quantization groups (columns or buckets) formed on ``shape``.
 

@@ -23,10 +23,17 @@ declares four parts:
 
 The skeleton owns the rest: the bucket plan, the workspace tags (one
 dtype per tag, prefixed with the codec's ``tag``, so several codecs can
-share one arena), the caller-side ``rng.random(out=rand)`` draw (every
-kernel backend consumes the identical stream), the message layout, the
+share one arena), the caller-side uniform draw, the message layout, the
 one payload-vs-geometry check that every decode path runs, the
 closed-form wire size and the fused :class:`BucketSumDecoder`.
+
+The draw is one ``rng.random`` fill of a ``(n_buckets, bucket_size)``
+float64 block per encode (every kernel backend consumes the identical
+stream).  When it is the encode's only draw (:meth:`BucketedCodec.
+draw_lanes`), an exchange may make it ahead, in the same order and size,
+and pass the block in as ``uniforms``: the bits are the same, and
+:class:`~repro.comm.base.GradientExchange` uses this to fill the next
+rank's block on a helper thread while this rank encodes.
 """
 
 from __future__ import annotations
@@ -93,13 +100,24 @@ class BucketedCodec(Quantizer):
         levels = 4 << (self.bits - 1) if self.fits_levels else 0
         return MESSAGE_HEADER_BYTES + 4 * buckets + codes + levels
 
+    def draw_lanes(self, shape: tuple[int, ...]) -> tuple[int, int] | None:
+        # the level rule's uniforms are the encode's only draw unless
+        # the levels are fitted (from the same generator) first
+        size = self.effective_bucket(math.prod(shape), shape)
+        drawn = self.stochastic and not self.fits_levels
+        return (bucket_count(math.prod(shape), size), size) if drawn else None
+
     # -- encode ---------------------------------------------------------
     def encode_into(
         self,
         grad: np.ndarray,
         rng: np.random.Generator | None = None,
         workspace: EncodeWorkspace | None = None,
+        uniforms: np.ndarray | None = None,
     ) -> EncodedTensor:
+        """``uniforms``: this encode's block of :meth:`draw_lanes`
+        uniforms, already drawn from ``rng`` (the exchange draws them
+        ahead); ``None`` draws them here."""
         ws = workspace if workspace is not None else EncodeWorkspace()
         tag = self.tag
         grad = np.asarray(grad)
@@ -122,17 +140,17 @@ class BucketedCodec(Quantizer):
         scales = ws.array(f"{tag}.scales", plan.n_buckets)
         abs_buckets = self._scale(buckets, scales, ws)
         payload = {"scales": scales}
-        rand = None
         if self.stochastic:
             rng = rng if rng is not None else np.random.default_rng()
             if self.fits_levels:
                 payload["levels"] = self._fit(buckets, scales, rng, ws)
-            # the stochastic-rounding draws are made here, with the
-            # run's generator, and passed into the level rule: every
-            # backend consumes the identical RNG stream, which is what
-            # makes trajectories backend-independent
-            rand = ws.array(f"{tag}.rand", lanes, np.float64)
-            rng.random(out=rand)
+            # the stochastic-rounding draws are made with the run's
+            # generator, outside the level rule: every backend consumes
+            # the identical RNG stream, which is what makes trajectories
+            # backend-independent
+            if uniforms is None:
+                uniforms = ws.array(f"{tag}.rand", lanes, np.float64)
+                rng.random(out=uniforms)
         if self.section == "words":
             codes = ws.array(
                 f"{tag}.words", bitpack.packed_words(plan.padded, self.bits),
@@ -141,7 +159,7 @@ class BucketedCodec(Quantizer):
         else:
             codes = ws.array(f"{tag}.codes", plan.padded, np.uint8)
         self._quantize(
-            buckets, scales, payload.get("levels"), rand, codes, ws,
+            buckets, scales, payload.get("levels"), uniforms, codes, ws,
             abs_buckets,
         )
         payload[self.section] = codes

@@ -24,11 +24,6 @@ from .extrapolation import (
     extrapolation_curve,
     print_extrapolation,
 )
-from .fabric import (
-    FabricSweepPoint,
-    fabric_sweep,
-    print_fabric_sweep,
-)
 from .insights import Insight, evaluate_insights, print_insights
 from .layer_sensitivity import (
     SensitivityResult,
@@ -95,3 +90,15 @@ __all__ = [
     "print_throughput_tables",
     "throughput_table",
 ]
+
+#: names served by :mod:`.fabric`, imported on first use so that loading
+#: the study harness (every ``repro`` command does) skips the simulator
+_FABRIC_NAMES = ("FabricSweepPoint", "fabric_sweep", "print_fabric_sweep")
+
+
+def __getattr__(name: str):
+    if name in _FABRIC_NAMES:
+        from . import fabric
+
+        return getattr(fabric, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

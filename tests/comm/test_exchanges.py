@@ -217,6 +217,27 @@ class TestMpiRequantization:
             total / rounds, 2.0 * np.ones_like(grad), atol=0.2
         )
 
+    def test_each_stream_is_requantized_with_its_own_codec(self):
+        # the aggregator's error-feedback wrapper follows the codec: a
+        # topk stream after a 1bit one costs what it costs on its own
+        def wire(exchange, key, scheme):
+            before = exchange.wire_bytes
+            exchange.exchange(
+                key, make_tensors(2, shape=(64, 64)),
+                make_quantizer(scheme), np.random.default_rng(0),
+            )
+            return exchange.wire_bytes - before
+
+        fresh = wire(MpiReduceBroadcast(2), "b", "topk0.01")
+        mixed = MpiReduceBroadcast(2)
+        wire(mixed, "a", "1bit")
+        assert fresh == 720
+        assert wire(mixed, "b", "topk0.01") == fresh
+        # both streams' residuals stay in the owner -> stream -> array tree
+        state = mixed.state_dict()
+        assert sorted(state) == ["0", "1"]
+        assert sorted(state["0"]) == ["a/range0", "b/range0"]
+
     def test_requantize_off_broadcasts_exact_aggregate(self):
         world_size = 2
         codec = make_quantizer("1bit*", bucket_size=16)

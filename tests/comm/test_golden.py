@@ -43,9 +43,8 @@ def test_grid_covers_every_scheme_and_exchange():
         assert cell["self_sends"] == 0, key
 
 
-@pytest.mark.parametrize("backend", kernels.available_backends())
-@pytest.mark.parametrize("exchange", sorted(make_golden.EXCHANGES))
-def test_exchange_matches_the_golden_cells(exchange, backend):
+def replay_cells(exchange: str, backend: str) -> None:
+    """Replay every cell of ``exchange`` under ``backend``, field by field."""
     with kernels.use_backend(backend):
         for key in make_golden.cell_keys():
             codec, cell_exchange, world, shape = key.split("/")
@@ -57,3 +56,9 @@ def test_exchange_matches_the_golden_cells(exchange, backend):
             want = CELLS[key]
             for field in sorted(set(got) | set(want)):
                 assert got.get(field) == want.get(field), (key, field)
+
+
+@pytest.mark.parametrize("backend", kernels.available_backends())
+@pytest.mark.parametrize("exchange", sorted(make_golden.EXCHANGES))
+def test_exchange_matches_the_golden_cells(exchange, backend):
+    replay_cells(exchange, backend)

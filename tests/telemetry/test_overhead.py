@@ -14,6 +14,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import repro.comm.base as comm_base
 from repro.core.algorithm import SynchronousStep
 from repro.core.config import TrainingConfig
 from repro.quantization import kernels
@@ -138,7 +139,17 @@ def _steady_state_alloc_per_step(steps: int = 10) -> float:
     return max(0, peak - before) / steps
 
 
-def test_null_traced_hot_path_allocation_stays_at_baseline():
+#: the default draw-ahead floor leaves every tensor of this step
+#: drawing inline; at 0 each reduce hands its uniforms to the helper
+#: thread, whose lock handoff must not allocate either
+FLOORS = pytest.mark.parametrize(
+    "floor", [comm_base.DRAW_AHEAD_FLOOR, 0], ids=["default-floor", "floor-0"]
+)
+
+
+@FLOORS
+def test_null_traced_hot_path_allocation_stays_at_baseline(floor, monkeypatch):
+    monkeypatch.setattr(comm_base, "DRAW_AHEAD_FLOOR", floor)
     # the workspace hot path's only steady-state allocations are
     # transient per-call objects (slices, lists, message headers and,
     # under the compiled kernel backend, ctypes arguments; ~KBs/step,
@@ -153,7 +164,9 @@ def test_null_traced_hot_path_allocation_stays_at_baseline():
     "cext" not in kernels.available_backends(),
     reason="compiled kernel backend unavailable",
 )
-def test_compiled_hot_path_keeps_no_per_transfer_record():
+@FLOORS
+def test_compiled_hot_path_keeps_no_per_transfer_record(floor, monkeypatch):
+    monkeypatch.setattr(comm_base, "DRAW_AHEAD_FLOOR", floor)
     # under the compiled backend the step allocates ~210 B/step; a
     # ledger that kept an object per transfer (as a per-transfer record
     # list once did, ~1.7 KB/step on this step) breaks the bound

@@ -1,5 +1,10 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main
@@ -511,3 +516,19 @@ class TestFabricCommand:
         out = capsys.readouterr().out
         assert "fabric crossval: PASS" in out
         assert "max phase-share gap" in out
+
+
+def test_cli_import_leaves_the_fabric_simulator_unloaded():
+    # train / trace / resume cold starts pay only for what they run:
+    # the fabric subcommand's choices load the simulator on first use
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    probe = (
+        "import sys, repro.cli; "
+        "print(sorted(m for m in sys.modules if m.startswith('repro.fabric')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True,
+        text=True, check=True,
+    ).stdout
+    assert out.strip() == "[]"
