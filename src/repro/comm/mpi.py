@@ -19,6 +19,7 @@ import numpy as np
 from ..quantization.base import ErrorFeedback, Quantizer
 from ..quantization.fullprec import FullPrecision
 from ..quantization.workspace import EncodeWorkspace
+from ..statetree import load_arrays
 from .base import ExchangeResult, GradientExchange
 from .topology import partition_ranges
 
@@ -37,33 +38,9 @@ class MpiReduceBroadcast(GradientExchange):
         #: full precision broadcast the exact aggregate.
         self.requantize_broadcast = requantize_broadcast
         self._fullprec = FullPrecision()
-        # aggregator-side error feedback: one wrapper per owner, one
-        # residual per stream
-        self._broadcast_feedback: dict[int, ErrorFeedback] = {}
-        # residuals restored from a checkpoint before the codec is
-        # known; adopted lazily the first time each owner's feedback
-        # wrapper is built
-        self._restored_residuals: dict[int, dict[str, np.ndarray]] = {}
-
-    def _broadcast_codec(self, codec: Quantizer, owner: int):
-        """Encode/decode pair used for the broadcast phase."""
-        if not self.requantize_broadcast or isinstance(codec, FullPrecision):
-            return None
-        if codec.requires_error_feedback:
-            feedback = self._broadcast_feedback.get(owner)
-            if feedback is None or feedback.quantizer is not codec:
-                # one wrapper per owner, re-quantizing with the codec of
-                # the stream at hand; its per-stream residuals carry over
-                residuals = (
-                    self._restored_residuals.pop(owner, {})
-                    if feedback is None
-                    else feedback._residuals
-                )
-                feedback = ErrorFeedback(codec)
-                feedback._residuals.update(residuals)
-                self._broadcast_feedback[owner] = feedback
-            return feedback
-        return codec
+        # aggregator-side error feedback: one residual store per owner,
+        # one residual per stream, whichever codec the stream uses
+        self._feedback: dict[int, ErrorFeedback] = {}
 
     def _route(self, src: int, nbytes: int, key: str, dst: int | None) -> None:
         self._send(src, dst, nbytes, key)
@@ -110,48 +87,46 @@ class MpiReduceBroadcast(GradientExchange):
         )
 
     def _broadcast(self, key, owner, owner_sum, target, codec, rng, ws):
-        """Broadcast phase: the owner ships the aggregated range back."""
-        broadcast_codec = self._broadcast_codec(codec, owner)
-        if broadcast_codec is None:
+        """Broadcast phase: the owner ships the aggregated range back.
+
+        A re-quantized range is decoded once, straight into ``target``;
+        under error feedback that image is also what the owner's
+        residual absorbs.
+        """
+        if not self.requantize_broadcast or isinstance(codec, FullPrecision):
             target[...] = owner_sum
             nbytes = self._fullprec.encoded_nbytes(owner_sum.shape)
         else:
+            stream = f"{key}/range{owner}"
+            feedback = None
             with self.tracer.span("encode", owner):
-                if isinstance(broadcast_codec, ErrorFeedback):
-                    message = broadcast_codec.encode(
-                        f"{key}/range{owner}", owner_sum, rng, workspace=ws
+                if codec.requires_error_feedback:
+                    feedback = self._feedback.setdefault(owner, ErrorFeedback())
+                    owner_sum = feedback.correct(
+                        stream, owner_sum, ws.array("ef.corrected", owner_sum.shape)
                     )
-                    broadcast_codec = broadcast_codec.quantizer
-                else:
-                    message = broadcast_codec.encode_into(owner_sum, rng, ws)
+                message = codec.encode_into(owner_sum, rng, ws)
             nbytes = message.nbytes
             self._count_encode(nbytes, key)
             with self.tracer.span("decode", owner):
-                broadcast_codec.decode_into(message, target, workspace=ws)
+                codec.decode_into(message, target, workspace=ws)
+            if feedback is not None:
+                feedback.absorb(stream, owner_sum, target)
             self._count_decode(nbytes, key)
         for rank in range(self.world_size):
             self._send(owner, rank, nbytes, key)
 
     def state_dict(self) -> dict:
         """Aggregator-side broadcast residuals: owner -> stream -> array."""
-        # restored-but-not-yet-adopted residuals round-trip unchanged
-        held = dict(self._restored_residuals)
-        for owner, feedback in self._broadcast_feedback.items():
-            held[owner] = feedback._residuals
         return {
             str(owner): {
                 stream: residual.copy()
-                for stream, residual in residuals.items()
+                for stream, residual in feedback.residuals.items()
             }
-            for owner, residuals in held.items()
+            for owner, feedback in self._feedback.items()
         }
 
     def load_state_dict(self, state: dict) -> None:
-        self._broadcast_feedback.clear()
-        self._restored_residuals = {
-            int(owner): {
-                stream: np.array(residual, dtype=np.float32)
-                for stream, residual in residuals.items()
-            }
-            for owner, residuals in state.items()
-        }
+        self._feedback = {int(owner): ErrorFeedback() for owner in state}
+        for owner, residuals in state.items():
+            load_arrays(self._feedback[int(owner)].residuals, residuals)

@@ -10,7 +10,6 @@ schemes and the small-matrix passthrough policy.
 from __future__ import annotations
 
 import copy
-import math
 from dataclasses import replace
 
 import numpy as np
@@ -18,10 +17,9 @@ import numpy as np
 from ..comm import make_exchange
 from ..nn.module import Parameter
 from ..quantization import (
-    AdaptiveBitWidthPolicy,
     EncodeWorkspace,
+    ErrorFeedback,
     QuantizationPolicy,
-    Quantizer,
     make_quantizer,
 )
 from ..statetree import load_arrays
@@ -47,36 +45,21 @@ class SynchronousStep:
         self.rank_ids = list(
             range(config.world_size) if rank_ids is None else rank_ids
         )
-        quantizer = self._build_quantizer(config)
-        if getattr(config, "policy", "static") == "adaptive":
-            # per-layer bit-widths: derived deterministically from the
-            # parameter inventory (sizes + kinds), so a resumed or
-            # degraded run rebuilds the identical assignment table
-            self.policy: QuantizationPolicy = (
-                AdaptiveBitWidthPolicy.for_layers(
-                    quantizer,
-                    [
-                        (p.name, p.size, getattr(p, "kind", "param"))
-                        for p in parameters
-                    ],
-                    coverage=config.passthrough_coverage,
-                )
-            )
-        else:
-            self.policy = QuantizationPolicy.for_model(
-                quantizer,
-                [p.size for p in parameters],
-                coverage=config.passthrough_coverage,
-            )
-        # layer-selective quantization (Section 5.1, layer types)
-        self._quantized_kinds = (
-            set(config.quantize_kinds)
-            if config.quantize_kinds is not None
-            else None
+        # which codec each layer travels with: the passthrough
+        # threshold, the adaptive per-layer bit-widths and the
+        # layer-kind override, decided once from the parameter
+        # inventory, so a resumed or degraded run rebuilds the
+        # identical table
+        self.policy = QuantizationPolicy(
+            make_quantizer(
+                config.scheme, config.bucket_size,
+                norm=config.norm, variant=config.variant,
+            ),
+            [(p.name, p.size, getattr(p, "kind", "param")) for p in parameters],
+            config.passthrough_coverage,
+            adaptive=config.policy == "adaptive",
+            quantize_kinds=config.quantize_kinds,
         )
-        self._kind_by_name = {
-            p.name: getattr(p, "kind", "param") for p in parameters
-        }
         exchange_kwargs = (
             {"requantize_broadcast": config.requantize_broadcast}
             if config.exchange == "mpi"
@@ -95,10 +78,9 @@ class SynchronousStep:
         # on one coordinator thread in every engine, so one arena is
         # enough (EncodeWorkspace is not thread-safe)
         self.workspace = EncodeWorkspace()
-        # per-rank error-feedback residuals, keyed by parameter name
-        self._residuals: list[dict[str, np.ndarray]] = [
-            {} for _ in range(config.world_size)
-        ]
+        # error feedback: one residual store per rank position, one
+        # residual per parameter name
+        self._feedback = [ErrorFeedback() for _ in range(config.world_size)]
         # periodic synchronization (aggregation_frequency > 1): a round
         # is N micro-steps; the quantized exchange runs only on the
         # round's last micro-step
@@ -119,17 +101,6 @@ class SynchronousStep:
         # counted any (carried across a mid-run shrink or a checkpoint
         # resume so per-epoch comm accounting stays continuous)
         self._comm_bytes_base = 0
-
-    @staticmethod
-    def _build_quantizer(config: TrainingConfig):
-        if config.scheme.startswith("qsgd"):
-            return make_quantizer(
-                config.scheme,
-                bucket_size=config.bucket_size,
-                norm=config.norm,
-                variant=config.variant,
-            )
-        return make_quantizer(config.scheme, bucket_size=config.bucket_size)
 
     # -- round lifecycle --------------------------------------------------
     @property
@@ -227,16 +198,15 @@ class SynchronousStep:
     ) -> np.ndarray:
         """Exchange one parameter's per-rank gradients; return the mean.
 
-        Applies the codec choice of :meth:`codec_for` and per-rank
-        error feedback when the scheme is biased; the exchange counts
-        the wire bytes (:attr:`comm_bytes`).
+        Encodes with the layer's codec from the policy's table and runs
+        per-rank error feedback when that codec is biased; the exchange
+        counts the wire bytes (:attr:`comm_bytes`).
         """
         if len(rank_grads) != self.world_size:
             raise ValueError(
                 f"expected {self.world_size} gradients, got {len(rank_grads)}"
             )
-        codec = self.codec_for(name, rank_grads[0].size)
-        use_feedback = codec.requires_error_feedback
+        codec = self.policy.table[name]
         ws = self.workspace
         scale = self.world_size
         if self._accumulating:
@@ -249,36 +219,20 @@ class SynchronousStep:
                 for rank in range(self.world_size)
             ]
             scale = self.world_size * self.frequency
-
-        if use_feedback:
-            corrected = []
-            for rank, grad in enumerate(rank_grads):
-                residual = self._residuals[rank].get(name)
-                if residual is None:
-                    # residuals persist across steps: a one-time
-                    # allocation, updated in place from then on
-                    residual = np.zeros_like(grad)
-                    self._residuals[rank][name] = residual
-                buf = ws.array(("corr", rank), grad.shape, grad.dtype)
-                np.add(grad, residual, out=buf)
-                corrected.append(buf)
-        else:
-            corrected = list(rank_grads)
+        feedback = self._feedback if codec.requires_error_feedback else ()
+        if feedback:
+            rank_grads = [
+                store.correct(
+                    name, grad, ws.array(("corr", rank), grad.shape, grad.dtype)
+                )
+                for rank, (store, grad) in enumerate(zip(feedback, rank_grads))
+            ]
 
         result = self.exchange.exchange(
-            name, corrected, codec, self.rng, workspace=ws
+            name, rank_grads, codec, self.rng, workspace=ws
         )
-
-        if use_feedback:
-            for rank in range(self.world_size):
-                # in-place: same subtraction, same operand order as
-                # `corrected - decoded_local`, written into the
-                # persistent residual buffer
-                np.subtract(
-                    corrected[rank],
-                    result.decoded_local[rank],
-                    out=self._residuals[rank][name],
-                )
+        for rank, store in enumerate(feedback):
+            store.absorb(name, rank_grads[rank], result.decoded_local[rank])
 
         # per-name mean buffers: the engines collect means for every
         # parameter of a step before applying them, so buffers must not
@@ -308,27 +262,13 @@ class SynchronousStep:
             for name in names
         }
 
-    def codec_for(self, name: str, size: int) -> Quantizer:
-        """The codec parameter ``name`` (``size`` elements) travels with.
-
-        The policy's choice (small-matrix passthrough, adaptive
-        per-layer bit-widths), overridden to full precision for a layer
-        kind left unquantized (Section 5.1, layer types).  The exchange
-        and the link pacing (:meth:`payload_nbytes`) both ask here, so
-        pacing charges the payload of the codec the exchange encodes
-        with.
-        """
-        if (
-            self._quantized_kinds is not None
-            and self._kind_by_name.get(name, "param")
-            not in self._quantized_kinds
-        ):
-            return self.policy.fullprec
-        return self.policy.codec_for_layer(name, size)
-
     def payload_nbytes(self, name: str, shape: tuple[int, ...]) -> int:
-        """Encoded size of one rank's wire contribution for ``name``."""
-        return self.codec_for(name, math.prod(shape)).encoded_nbytes(shape)
+        """Encoded size of one rank's wire contribution for ``name``.
+
+        Read from the same table the exchange encodes with, so link
+        pacing charges the payload actually sent.
+        """
+        return self.policy.table[name].encoded_nbytes(shape)
 
     @property
     def comm_bytes(self) -> int:
@@ -356,13 +296,11 @@ class SynchronousStep:
             "exchange": self.exchange.state_dict(),
             "round_position": self._round_position,
             "round_base": _copies(self._round_base),
-            "policy_assignments": dict(
-                getattr(self.policy, "assignments", None) or {}
-            ),
+            "policy_assignments": dict(self.policy.assignments),
             "comm_bytes": self.comm_bytes,
             "ranks": {
                 str(rank): {
-                    "residuals": _copies(self._residuals[position]),
+                    "residuals": _copies(self._feedback[position].residuals),
                     "accumulators": _copies(self._accumulators[position]),
                 }
                 for position, rank in enumerate(self.rank_ids)
@@ -385,13 +323,13 @@ class SynchronousStep:
             # carried bit-width decisions override the fresh derivation
             # (they should agree — it is a pure function of the identity
             # fields — but the saved table defines the trajectory)
-            self.policy.assignments = dict(state["policy_assignments"])
+            self.policy.adopt(state["policy_assignments"])
         self._comm_bytes_base = (
             int(state["comm_bytes"]) - self.exchange.wire_bytes
         )
         for position, rank in enumerate(self.rank_ids):
             held = state["ranks"][str(rank)]
-            load_arrays(self._residuals[position], held["residuals"])
+            load_arrays(self._feedback[position].residuals, held["residuals"])
             load_arrays(self._accumulators[position], held["accumulators"])
 
     def shrink(

@@ -224,8 +224,12 @@ class TrainingConfig:
         0.99, "fraction of parameters that must stay quantized when "
         "choosing the small-matrix passthrough threshold", identity=True,
     )
-    norm: str = knob("inf", "QSGD scaling norm", identity=True)
-    variant: str = knob("sign", "QSGD level layout", identity=True)
+    norm: str = knob(
+        "inf", "QSGD scaling norm", choices=("inf", "l2"), identity=True
+    )
+    variant: str = knob(
+        "sign", "QSGD level layout", choices=("sign", "grid"), identity=True
+    )
     #: see :data:`POLICY_NAMES`
     policy: str = knob(
         "static", "bit-width policy; 'adaptive' picks a per-layer scheme "

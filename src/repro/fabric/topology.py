@@ -143,11 +143,6 @@ class FabricTopology:
     def multi_node(self) -> bool:
         return len(self.hosts) > 1
 
-    def node_of(self, rank: int) -> str:
-        """The GPU node a rank computes on."""
-        self._check_rank(rank)
-        return f"gpu{rank}"
-
     def ranks_on(self, host: str) -> tuple[int, ...]:
         """Ranks living on one host, ascending."""
         return tuple(

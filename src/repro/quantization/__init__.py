@@ -29,11 +29,7 @@ from .dettmers8 import Dettmers8, dynamic_tree_values
 from .fullprec import FullPrecision
 from .onebit import OneBitSgd
 from .onebit_reshaped import OneBitSgdReshaped
-from .policy import (
-    AdaptiveBitWidthPolicy,
-    QuantizationPolicy,
-    passthrough_threshold,
-)
+from .policy import QuantizationPolicy, passthrough_threshold
 from .qsgd import DEFAULT_BUCKET_SIZES, Qsgd
 from .terngrad import TernGrad
 from .topk import TopK
@@ -56,7 +52,6 @@ __all__ = [
     "TopK",
     "lloyd_max_levels",
     "QuantizationPolicy",
-    "AdaptiveBitWidthPolicy",
     "passthrough_threshold",
     "bucket_count",
     "bucket_plan",
@@ -106,15 +101,20 @@ EXTENSION_SCHEME_EXAMPLES = (
 )
 
 
-def make_quantizer(name: str, bucket_size: int | None = None, **kwargs) -> Quantizer:
+def make_quantizer(
+    name: str,
+    bucket_size: int | None = None,
+    norm: str = "inf",
+    variant: str = "sign",
+) -> Quantizer:
     """Construct a quantizer from its paper-style scheme name.
 
     Args:
         name: one of :data:`SCHEME_NAMES`.
         bucket_size: overrides the scheme's tuned default bucket size
             (ignored by "32bit" and column-wise "1bit").
-        **kwargs: forwarded to the scheme constructor (e.g. ``norm`` or
-            ``variant`` for QSGD).
+        norm / variant: QSGD's scaling norm and level layout (ignored
+            by every other scheme).
     """
     if name == "32bit":
         return FullPrecision()
@@ -126,32 +126,32 @@ def make_quantizer(name: str, bucket_size: int | None = None, **kwargs) -> Quant
         return OneBitSgdReshaped(bucket_size=bucket_size)
     if name.startswith("qsgd") and name[len("qsgd"):].isdigit():
         bits = int(name[len("qsgd"):])
-        return Qsgd(bits, bucket_size=bucket_size, **kwargs)
+        return Qsgd(bits, bucket_size, norm, variant)
     if name.startswith("aqsgd") and name[len("aqsgd"):].isdigit():
         bits = int(name[len("aqsgd"):])
         if bucket_size is None:
-            return AdaptiveQsgd(bits, **kwargs)
-        return AdaptiveQsgd(bits, bucket_size=bucket_size, **kwargs)
+            return AdaptiveQsgd(bits)
+        return AdaptiveQsgd(bits, bucket_size=bucket_size)
     if name.startswith("topk"):
         try:
             density = float(name[len("topk"):])
         except ValueError:
             density = None
         if density is not None:
-            return TopK(density, **kwargs)
+            return TopK(density)
     if name == "terngrad":
-        return TernGrad(bucket_size=bucket_size, **kwargs)
+        return TernGrad(bucket_size=bucket_size)
     if name.startswith("terngrad"):
         try:
             clip = float(name[len("terngrad"):])
         except ValueError:
             clip = None
         if clip is not None:
-            return TernGrad(bucket_size=bucket_size, clip=clip, **kwargs)
+            return TernGrad(bucket_size=bucket_size, clip=clip)
     if name == "dettmers8":
-        return Dettmers8("tree", bucket_size=bucket_size, **kwargs)
+        return Dettmers8("tree", bucket_size=bucket_size)
     if name == "dettmers8c":
-        return Dettmers8("column", bucket_size=bucket_size, **kwargs)
+        return Dettmers8("column", bucket_size=bucket_size)
     raise ValueError(
         f"unknown scheme {name!r}; expected one of {SCHEME_NAMES} "
         "or an extension scheme: "

@@ -4,7 +4,8 @@ A *quantizer* is the Encode/Decode pair of the paper's Algorithm 1: it
 maps a gradient tensor to a compact wire message and back to an
 (approximate) gradient.  Quantizers here are pure with respect to the
 gradient: stateful error feedback (1bitSGD's ϵ vector, Algorithm 2)
-lives in :class:`ErrorFeedback`, which wraps any quantizer.
+lives in :class:`ErrorFeedback`, a residual store any codec's stream
+can be corrected through.
 
 All encoders report the exact number of bytes their message occupies on
 the wire via :attr:`EncodedTensor.nbytes`; the performance simulator and
@@ -258,54 +259,43 @@ class SumDecoder:
 
 
 class ErrorFeedback:
-    """Error-feedback wrapper (Algorithm 2, lines 1 and 4).
+    """Error-feedback residual store (Algorithm 2, lines 1 and 4).
 
-    Keeps one residual tensor per gradient stream.  On each call the
-    residual from the previous round is added to the incoming gradient
-    before quantization, and the new residual is the difference between
-    the corrected gradient and its quantized image.  The telescoping
-    identity ``sum_t decoded_t = sum_t grad_t - residual_T`` holds
-    exactly and is verified by property tests.
+    Keeps one residual tensor per gradient stream, whichever codec the
+    stream travels with.  Before quantization :meth:`correct` adds the
+    previous round's residual to the incoming gradient; once the
+    corrected gradient's quantized image is known, :meth:`absorb` keeps
+    the difference as the next residual.  The telescoping identity
+    ``sum_t image_t = sum_t grad_t - residual_T`` holds exactly and is
+    verified by property tests.
     """
 
-    def __init__(self, quantizer: Quantizer):
-        self.quantizer = quantizer
-        self._residuals: dict[str, np.ndarray] = {}
+    def __init__(self) -> None:
+        #: stream key -> residual; the state tree carries it as is
+        self.residuals: dict[str, np.ndarray] = {}
 
-    def residual(self, key: str, shape: tuple[int, ...]) -> np.ndarray:
-        """Current residual for stream ``key`` (zeros before first use)."""
-        if key not in self._residuals:
-            self._residuals[key] = np.zeros(shape, dtype=np.float32)
-        return self._residuals[key]
+    def residual(self, key: str, like: np.ndarray) -> np.ndarray:
+        """Current residual for stream ``key`` (zeros before first use).
 
-    def encode(
-        self,
-        key: str,
-        grad: np.ndarray,
-        rng: np.random.Generator | None = None,
-        workspace: EncodeWorkspace | None = None,
-    ) -> EncodedTensor:
-        """Encode ``grad`` for stream ``key`` with error correction.
-
-        The corrected gradient and the round-trip decode live in arena
-        scratch (a throwaway arena when no ``workspace`` is given) and
-        the residual is updated in place, so repeated calls with one
-        workspace allocate nothing.
+        Allocated once, shaped and typed like ``like``, and updated in
+        place from then on.
         """
-        ws = workspace if workspace is not None else EncodeWorkspace()
-        residual = self.residual(key, grad.shape)
-        corrected = ws.array("ef.corrected", grad.shape)
-        np.add(grad, residual, out=corrected)
-        message = self.quantizer.encode_into(corrected, rng, ws)
-        decoded = ws.array("ef.decoded", grad.shape)
-        self.quantizer.decode_into(message, decoded, workspace=ws)
-        np.subtract(corrected, decoded, out=residual)
-        return message
+        if key not in self.residuals:
+            self.residuals[key] = np.zeros_like(like)
+        return self.residuals[key]
 
-    def decode(self, message: EncodedTensor) -> np.ndarray:
-        """Decode a message (no state involved on the receive path)."""
-        return self.quantizer.decode(message)
+    def correct(
+        self, key: str, grad: np.ndarray, out: np.ndarray | None = None
+    ) -> np.ndarray:
+        """``grad + residual``: what stream ``key`` hands the codec."""
+        return np.add(grad, self.residual(key, grad), out=out)
+
+    def absorb(
+        self, key: str, corrected: np.ndarray, image: np.ndarray
+    ) -> None:
+        """Keep ``corrected - image`` as stream ``key``'s residual."""
+        np.subtract(corrected, image, out=self.residual(key, corrected))
 
     def reset(self) -> None:
         """Drop all residual state (e.g. between training runs)."""
-        self._residuals.clear()
+        self.residuals.clear()

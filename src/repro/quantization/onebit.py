@@ -37,7 +37,7 @@ from . import bitpack, kernels
 from .base import EncodedTensor, Quantizer
 from .workspace import EncodeWorkspace
 
-__all__ = ["OneBitSgd", "encode_groups", "decode_groups"]
+__all__ = ["OneBitSgd", "encode_groups_into", "decode_groups_into"]
 
 
 def encode_groups_into(
@@ -47,10 +47,20 @@ def encode_groups_into(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """1-bit encode a ``(n_groups, group_len)`` matrix of values.
 
-    Workspace form of :func:`encode_groups`: all three returned arrays
-    (and every intermediate) live in the arena when one is provided,
-    valid until the next encode on the same workspace.  ``groups`` may
-    be any strided view (the column-wise codec passes a transpose).
+    Returns ``(avg_pos, avg_neg, words)`` where ``avg_pos``/``avg_neg``
+    are per-group float32 scale vectors and ``words`` is the packed
+    sign-bit payload (one padded word run per group, group-major).  All
+    three (and every intermediate) live in the arena when one is
+    provided, valid until the next encode on the same workspace.
+    ``groups`` may be any strided view (the column-wise codec passes a
+    transpose).
+
+    Args:
+        valid_count: total number of real elements when ``groups`` is a
+            zero-padded bucket matrix (row-major contiguous).  Padded
+            positions are excluded from the averages so they cannot
+            dilute the scale factors; their sign bits are still packed
+            (the decoder's caller crops them).
     """
     ws = workspace if workspace is not None else EncodeWorkspace()
     groups = np.asarray(groups)
@@ -66,25 +76,6 @@ def encode_groups_into(
         groups, valid_count, avg_pos, avg_neg, words, ws
     )
     return avg_pos, avg_neg, words
-
-
-def encode_groups(
-    groups: np.ndarray, valid_count: int | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """1-bit encode a ``(n_groups, group_len)`` matrix of values.
-
-    Returns ``(avg_pos, avg_neg, words)`` where ``avg_pos``/``avg_neg``
-    are per-group float32 scale vectors and ``words`` is the packed
-    sign-bit payload (one padded word run per group, group-major).
-
-    Args:
-        valid_count: total number of real elements when ``groups`` is a
-            zero-padded bucket matrix (row-major contiguous).  Padded
-            positions are excluded from the averages so they cannot
-            dilute the scale factors; their sign bits are still packed
-            (the decoder's caller crops them).
-    """
-    return encode_groups_into(groups, valid_count)
 
 
 def _decode_into(avg_pos, avg_neg, words, out, accumulate, ws):
@@ -108,7 +99,7 @@ def decode_groups_into(
     group_len: int,
     workspace: EncodeWorkspace | None = None,
 ) -> np.ndarray:
-    """Workspace form of :func:`decode_groups`.
+    """Inverse of :func:`encode_groups_into`.
 
     Returns a ``(n_groups, group_len)`` float32 array drawn from the
     arena (valid until the next decode on the same workspace).
@@ -116,16 +107,6 @@ def decode_groups_into(
     ws = workspace if workspace is not None else EncodeWorkspace()
     values = ws.array("1bit.dec.values", (avg_pos.shape[0], group_len))
     return _decode_into(avg_pos, avg_neg, words, values, False, ws)
-
-
-def decode_groups(
-    avg_pos: np.ndarray,
-    avg_neg: np.ndarray,
-    words: np.ndarray,
-    group_len: int,
-) -> np.ndarray:
-    """Inverse of :func:`encode_groups`; returns ``(n_groups, group_len)``."""
-    return decode_groups_into(avg_pos, avg_neg, words, group_len).copy()
 
 
 class OneBitSgd(Quantizer):

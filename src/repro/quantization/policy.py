@@ -1,31 +1,34 @@
-"""Per-gradient codec routing: passthrough and adaptive bit-widths.
+"""Per-gradient codec routing: one frozen name -> codec table.
 
 Quantizing tiny gradient matrices costs kernel-launch time without
 saving meaningful bandwidth, so the paper's artefact ships matrices
 with few elements at full precision, choosing the size threshold such
 that *more than 99% of all parameters are still quantized*.
-
 :func:`passthrough_threshold` computes that threshold from a model's
-parameter-size inventory, and :class:`QuantizationPolicy` pairs a
-quantizer with the threshold to decide per-gradient which codec to use.
+parameter-size inventory.
 
-:class:`AdaptiveBitWidthPolicy` extends the routing to *per-layer
-bit-widths*: the paper's Section 5.1 layer-type study shows
-convolutional layers are sensitive to quantization noise while fully
-connected layers tolerate 1-2 bits, so the adaptive policy assigns each
-named layer its own scheme — high precision for sensitive kinds,
-ternary for the fat fc matrices that dominate wire bytes — from a
-deterministic derivation over the static parameter inventory,
-optionally refined by the measured per-layer encode/wire counters the
-telemetry layer collects.  Assignments are frozen at construction and
-carried through checkpoints, so resumed (and degraded) runs re-derive
-bit-identical trajectories.
+The paper's Section 5.1 layer-type study shows convolutional layers
+are sensitive to quantization noise while fully connected layers
+tolerate 1-2 bits, so the adaptive policy assigns each named layer its
+own scheme -- high precision for sensitive kinds, ternary for the fat
+fc matrices that dominate wire bytes -- from a deterministic
+derivation over the static parameter inventory
+(:func:`derive_assignments`), optionally refined by the measured
+per-layer encode/wire counters the telemetry layer collects.
+
+:class:`QuantizationPolicy` applies all three rules -- the passthrough
+threshold, the adaptive assignments and the layer-kind override that
+leaves whole kinds unquantized -- once, when it builds its table from
+the ``(name, size, kind)`` inventory.  The routing never moves
+mid-trajectory: the adaptive part is carried through checkpoints and
+adopted on resume, so resumed (and degraded) runs route every layer as
+the original did.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Collection, Mapping, Sequence
 
 from .base import Quantizer
 from .fullprec import FullPrecision
@@ -33,7 +36,6 @@ from .fullprec import FullPrecision
 __all__ = [
     "passthrough_threshold",
     "QuantizationPolicy",
-    "AdaptiveBitWidthPolicy",
     "derive_assignments",
     "DEFAULT_KIND_SENSITIVITY",
 ]
@@ -79,48 +81,6 @@ def passthrough_threshold(
         threshold = size + 1
         index = end
     return threshold
-
-
-@dataclass
-class QuantizationPolicy:
-    """Route each gradient to the quantizer or the full-precision path.
-
-    Attributes:
-        quantizer: codec used for large gradients.
-        threshold: gradients with fewer elements than this are sent at
-            full precision.  ``0`` disables the passthrough.
-    """
-
-    quantizer: Quantizer
-    threshold: int = 0
-
-    def __post_init__(self) -> None:
-        self.fullprec = FullPrecision()
-
-    @classmethod
-    def for_model(
-        cls,
-        quantizer: Quantizer,
-        sizes: Sequence[int],
-        coverage: float = DEFAULT_COVERAGE,
-    ) -> "QuantizationPolicy":
-        """Build a policy whose threshold covers ``coverage`` of params."""
-        return cls(quantizer, passthrough_threshold(sizes, coverage))
-
-    def codec_for(self, size: int) -> Quantizer:
-        """The codec a gradient of ``size`` elements will travel through."""
-        if size < self.threshold:
-            return self.fullprec
-        return self.quantizer
-
-    def codec_for_layer(self, name: str, size: int) -> Quantizer:
-        """The codec for the named layer's gradient.
-
-        The static policy routes purely by size; the adaptive subclass
-        overrides this with its per-layer assignments.  The step engine
-        calls this form so both policies flow through one code path.
-        """
-        return self.codec_for(size)
 
 
 #: how sensitive each parameter kind is to aggressive quantization
@@ -230,101 +190,93 @@ def _drop_precision(scheme: str) -> str:
 
 
 @dataclass
-class AdaptiveBitWidthPolicy(QuantizationPolicy):
-    """Per-layer bit-width selection over a frozen assignment table.
+class QuantizationPolicy:
+    """The codec every named gradient travels with, decided once.
 
     Attributes:
-        quantizer: the run's configured codec — the middle tier of the
-            assignment ladder and the fallback for unassigned streams.
-        threshold: small-matrix passthrough, as in the static policy.
-        inventory: ``(name, size, kind)`` triples the assignments were
-            derived from (kept so :meth:`refit` can re-derive).
-        assignments: layer name -> scheme name.  Frozen for the life of
-            the policy: the in-run routing never moves mid-trajectory,
-            which is what keeps resumed and degraded runs bit-identical.
-            Checkpoints persist this table verbatim.
+        quantizer: the run's configured codec -- what a layer above the
+            passthrough threshold travels with, and the middle tier of
+            the adaptive ladder.
+        inventory: ``(name, size, kind)`` triples of every parameter.
+        coverage: the fraction of parameters the passthrough threshold
+            keeps quantized.
+        adaptive: derive per-layer bit-widths (:func:`derive_assignments`)
+            instead of routing by size alone.
+        quantize_kinds: the parameter kinds left quantized (Section
+            5.1, layer types); every other kind ships at full precision.
+            ``None`` quantizes every kind.
+        assignments: the adaptive derivation, layer name -> scheme
+            (``{}`` under the static policy).  Checkpoints persist it
+            verbatim; a carried table is adopted in place of a fresh
+            derivation.
+
+    :attr:`table` maps every inventory name to its codec.  One codec
+    instance serves every layer of a scheme (``quantizer`` and
+    :attr:`fullprec` among them), so workspace scratch and bucket plans
+    are shared.
     """
 
-    inventory: tuple[tuple[str, int, str], ...] = ()
+    quantizer: Quantizer
+    inventory: Sequence[tuple[str, int, str]] = ()
+    coverage: float = DEFAULT_COVERAGE
+    adaptive: bool = False
+    quantize_kinds: Collection[str] | None = None
     assignments: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        super().__post_init__()
         self.inventory = tuple(
             (str(n), int(s), str(k)) for n, s, k in self.inventory
         )
-        if not self.assignments:
+        self.threshold = passthrough_threshold(
+            [size for _, size, _ in self.inventory], self.coverage
+        )
+        if self.adaptive and not self.assignments:
             self.assignments = derive_assignments(
                 self.inventory, self.threshold,
                 default_scheme=self.quantizer.name,
             )
-        # one codec instance per assigned scheme, shared across layers
-        # so workspace scratch and bucket plans are reused
-        self._codecs: dict[str, Quantizer] = {
+        self.fullprec = FullPrecision()
+        self._codecs = {
             self.quantizer.name: self.quantizer,
             self.fullprec.name: self.fullprec,
         }
+        self.adopt(self.assignments)
 
-    @classmethod
-    def for_layers(
-        cls,
-        quantizer: Quantizer,
-        inventory: Sequence[tuple[str, int, str]],
-        coverage: float = DEFAULT_COVERAGE,
-        sensitivity: Mapping[str, int] | None = None,
-        profiles: Mapping[str, Mapping[str, int]] | None = None,
-    ) -> "AdaptiveBitWidthPolicy":
-        """Derive a policy from a model's named parameter inventory."""
-        inventory = tuple(
-            (str(n), int(s), str(k)) for n, s, k in inventory
-        )
-        threshold = passthrough_threshold(
-            [size for _, size, _ in inventory], coverage
-        )
-        assignments = derive_assignments(
-            inventory, threshold,
-            default_scheme=quantizer.name,
-            sensitivity=sensitivity,
-            profiles=profiles,
-        )
-        return cls(quantizer, threshold, inventory, assignments)
+    def adopt(self, assignments: Mapping[str, str]) -> None:
+        """Rebuild :attr:`table` over the adaptive ``assignments``."""
+        from . import make_quantizer
+
+        self.assignments = dict(assignments)
+        self.table: dict[str, Quantizer] = {}
+        kinds = self.quantize_kinds
+        for name, size, kind in self.inventory:
+            scheme = self.assignments.get(name)
+            if kinds is not None and kind not in kinds:
+                codec = self.fullprec
+            elif scheme is not None:
+                if scheme not in self._codecs:
+                    self._codecs[scheme] = make_quantizer(scheme)
+                codec = self._codecs[scheme]
+            else:
+                codec = (
+                    self.quantizer if size >= self.threshold
+                    else self.fullprec
+                )
+            self.table[name] = codec
 
     def refit(
         self, profiles: Mapping[str, Mapping[str, int]]
-    ) -> "AdaptiveBitWidthPolicy":
+    ) -> "QuantizationPolicy":
         """A new policy re-derived from measured per-layer counters.
 
-        Refitting never mutates this policy — the live trajectory keeps
-        its frozen table; the caller decides when (between runs, never
-        mid-run) to adopt the refitted one.  The derivation is a pure
+        Refitting never mutates this policy -- the live trajectory keeps
+        its table; the caller decides when (between runs, never mid-run)
+        to switch to the refitted one.  The derivation is a pure
         function of the counters, so identical measurements always
         produce identical assignments.
         """
-        threshold = self.threshold
-        assignments = derive_assignments(
-            self.inventory, threshold,
+        return replace(self, assignments=derive_assignments(
+            self.inventory, self.threshold,
             default_scheme=self.quantizer.name,
             profiles=profiles,
-        )
-        return AdaptiveBitWidthPolicy(
-            self.quantizer, threshold, self.inventory, assignments
-        )
-
-    def scheme_for_layer(self, name: str, size: int) -> str:
-        """The scheme name the layer's gradient will travel as."""
-        return self.codec_for_layer(name, size).name
-
-    def codec_for_layer(self, name: str, size: int) -> Quantizer:
-        scheme = self.assignments.get(name)
-        if scheme is None:
-            return self.codec_for(size)
-        return self._codec(scheme)
-
-    def _codec(self, scheme: str) -> Quantizer:
-        codec = self._codecs.get(scheme)
-        if codec is None:
-            from . import make_quantizer
-
-            codec = make_quantizer(scheme)
-            self._codecs[scheme] = codec
-        return codec
+        ))

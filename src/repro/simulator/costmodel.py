@@ -67,10 +67,10 @@ class NetworkCostModel:
         self.scheme = scheme
         self.world_size = world_size
         self.codec = make_quantizer(scheme, bucket_size=bucket_size)
-        # the training path's small-matrix passthrough rule
-        self.policy = QuantizationPolicy.for_model(
+        # the training path's routing table (small-matrix passthrough)
+        self.policy = QuantizationPolicy(
             self.codec,
-            [layer.size for layer in network.layers],
+            [(layer.name, layer.size, layer.kind) for layer in network.layers],
             passthrough_coverage,
         )
         self.matrices = [
@@ -78,7 +78,7 @@ class NetworkCostModel:
         ]
 
     def _cost_matrix(self, layer: GradientMatrixSpec) -> MatrixCost:
-        codec = self.policy.codec_for(layer.size)
+        codec = self.policy.table[layer.name]
         range_total = 0
         for lo, hi in partition_ranges(layer.cols, self.world_size):
             if hi > lo:

@@ -95,7 +95,7 @@ def derive_kind_sensitivity(
     """Measured sensitivity ranking for the adaptive bit-width policy.
 
     Bridges this study's empirical accuracy comparison to the
-    :class:`repro.quantization.AdaptiveBitWidthPolicy` sensitivity
+    :func:`repro.quantization.policy.derive_assignments` sensitivity
     mapping: the accuracy lost when quantizing *only* one layer kind
     (relative to the unquantized baseline) ranks that kind.  Kinds are
     sorted by accuracy drop and assigned tiers 2 (most sensitive,

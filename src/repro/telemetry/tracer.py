@@ -170,7 +170,7 @@ class Counters:
         stream cost, ``wire_bytes`` the link traffic it generated.
         The dict is sorted by layer name, so identical runs produce
         identical (and directly comparable) profiles — this is the
-        input :meth:`repro.quantization.AdaptiveBitWidthPolicy.refit`
+        input :meth:`repro.quantization.QuantizationPolicy.refit`
         consumes.
         """
         with self._lock:

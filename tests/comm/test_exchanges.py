@@ -238,6 +238,27 @@ class TestMpiRequantization:
         assert sorted(state) == ["0", "1"]
         assert sorted(state["0"]) == ["a/range0", "b/range0"]
 
+    def test_broadcast_decodes_each_range_once(self):
+        # K ranks x 2 ranges reduce decodes, then one decode per range
+        # straight into the aggregate: the owner's residual absorbs
+        # that same image instead of decoding the message again
+        codec = make_quantizer("1bit")
+        calls = []
+        decode_into = codec.decode_into
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return decode_into(*args, **kwargs)
+
+        codec.decode_into = counting
+        exchange = MpiReduceBroadcast(2)
+        exchange.exchange(
+            "w", make_tensors(2, shape=(64, 64)), codec,
+            np.random.default_rng(0),
+        )
+        assert len(calls) == 2 * 2 + 2
+        assert sorted(exchange.state_dict()) == ["0", "1"]
+
     def test_requantize_off_broadcasts_exact_aggregate(self):
         world_size = 2
         codec = make_quantizer("1bit*", bucket_size=16)

@@ -56,6 +56,15 @@ class TestValidation:
     def test_all_paper_schemes_accepted(self, scheme):
         TrainingConfig(scheme=scheme)
 
+    @pytest.mark.parametrize("knob", ["norm", "variant"])
+    @pytest.mark.parametrize("scheme", ["qsgd4", "1bit"])
+    def test_unknown_qsgd_knob_rejected_at_construction(self, scheme, knob):
+        # refused by the config itself, whichever scheme it names --
+        # not later by the codec the trainer builds, nor never
+        with pytest.raises(ValueError, match=f"unknown {knob} 'bogus'"):
+            TrainingConfig(scheme=scheme, **{knob: "bogus"})
+        TrainingConfig(scheme=scheme, norm="l2", variant="grid")
+
 
 class TestAggregationValidation:
     def test_frequency_must_be_positive(self):

@@ -166,9 +166,12 @@ def summary(codec_key: str, input_key: str) -> dict:
     for r in range(2):
         decoder.add(codec.encode_into(grad, np.random.default_rng(seed + r), ws))
     record["sum"] = _digest(decoder.result())
-    feedback = ErrorFeedback(codec)
-    feedback.encode("k", grad, np.random.default_rng(seed), workspace=ws)
-    record["residual"] = _digest(feedback.residual("k", grad.shape))
+    feedback = ErrorFeedback()
+    corrected = feedback.correct("k", grad, ws.array("ef.corrected", grad.shape))
+    message = codec.encode_into(corrected, np.random.default_rng(seed), ws)
+    decoded = codec.decode_into(message, ws.array("ef.decoded", grad.shape), workspace=ws)
+    feedback.absorb("k", corrected, decoded)
+    record["residual"] = _digest(feedback.residuals["k"])
     return record
 
 

@@ -46,32 +46,65 @@ class TestPassthroughThreshold:
 
 class TestQuantizationPolicy:
     def test_routes_small_to_fullprec(self):
-        policy = QuantizationPolicy(Qsgd(4), threshold=100)
-        assert isinstance(policy.codec_for(99), FullPrecision)
-        assert isinstance(policy.codec_for(100), Qsgd)
+        policy = QuantizationPolicy(
+            Qsgd(4), [("b", 99, "bias"), ("W", 100_000, "fc")]
+        )
+        assert policy.threshold == 100
+        assert isinstance(policy.table["b"], FullPrecision)
+        assert policy.table["W"] is policy.quantizer
 
     def test_zero_threshold_quantizes_everything(self):
-        policy = QuantizationPolicy(Qsgd(4), threshold=0)
-        assert isinstance(policy.codec_for(1), Qsgd)
+        policy = QuantizationPolicy(
+            Qsgd(4), [("b", 1, "bias"), ("W", 1000, "fc")], coverage=1.0
+        )
+        assert policy.threshold == 0
+        assert all(isinstance(c, Qsgd) for c in policy.table.values())
 
     def test_encode_decode_roundtrip_through_policy(self):
-        policy = QuantizationPolicy(Qsgd(8, bucket_size=64), threshold=50)
+        policy = QuantizationPolicy(
+            Qsgd(8, bucket_size=64),
+            [("small", 10, "bias"), ("large", 256, "fc"),
+             ("huge", 2_000, "fc")],
+        )
         small = np.ones(10, dtype=np.float32)
-        codec = policy.codec_for(small.size)
+        codec = policy.table["small"]
         message = codec.encode(small, np.random.default_rng(0))
         assert message.scheme == "32bit"
         np.testing.assert_array_equal(codec.decode(message), small)
 
         rng = np.random.default_rng(1)
         large = rng.normal(size=256).astype(np.float32)
-        codec = policy.codec_for(large.size)
+        codec = policy.table["large"]
         message = codec.encode(large, np.random.default_rng(2))
         assert message.scheme == "qsgd8"
         decoded = codec.decode(message)
         assert np.abs(decoded - large).mean() < 0.1
 
     def test_for_model_constructor(self):
-        sizes = [10, 10, 100000]
-        policy = QuantizationPolicy.for_model(Qsgd(4), sizes)
-        assert isinstance(policy.codec_for(10), FullPrecision)
-        assert isinstance(policy.codec_for(100000), Qsgd)
+        # the table covers the model's inventory, one shared codec
+        # instance per route
+        inventory = [("a", 10, "bias"), ("b", 10, "bias"), ("W", 100000, "fc")]
+        policy = QuantizationPolicy(Qsgd(4), inventory)
+        assert list(policy.table) == ["a", "b", "W"]
+        assert policy.table["a"] is policy.table["b"] is policy.fullprec
+        assert policy.table["W"] is policy.quantizer
+
+    def test_kinds_override_ships_other_kinds_at_full_precision(self):
+        inventory = [("conv1.W", 50_000, "conv"), ("fc1.W", 50_000, "fc")]
+        policy = QuantizationPolicy(Qsgd(4), inventory, quantize_kinds=("fc",))
+        assert policy.table["conv1.W"] is policy.fullprec
+        assert policy.table["fc1.W"] is policy.quantizer
+
+    def test_kinds_override_outranks_the_adaptive_table(self):
+        # the override is applied when the table is built, over an
+        # adopted (carried) assignment table too
+        inventory = [("conv1.W", 50_000, "conv"), ("fc1.W", 50_000, "fc")]
+        policy = QuantizationPolicy(
+            Qsgd(4), inventory, adaptive=True, quantize_kinds=("conv",)
+        )
+        assert policy.assignments == {"conv1.W": "qsgd8", "fc1.W": "terngrad"}
+        assert policy.table["conv1.W"].name == "qsgd8"
+        assert policy.table["fc1.W"] is policy.fullprec
+        policy.adopt({"conv1.W": "qsgd2", "fc1.W": "qsgd2"})
+        assert policy.table["conv1.W"].name == "qsgd2"
+        assert policy.table["fc1.W"] is policy.fullprec

@@ -18,8 +18,8 @@ from repro.data import make_image_dataset
 from repro.models import tiny_alexnet
 from repro.quantization import (
     SCHEME_NAMES,
-    AdaptiveBitWidthPolicy,
     FullPrecision,
+    QuantizationPolicy,
     Qsgd,
     make_quantizer,
 )
@@ -76,7 +76,7 @@ class TestDeterminism:
     @settings(max_examples=60, deadline=None)
     @given(inventory=INVENTORIES)
     def test_assignments_are_valid_schemes(self, inventory):
-        policy = AdaptiveBitWidthPolicy.for_layers(Qsgd(4), inventory)
+        policy = QuantizationPolicy(Qsgd(4), inventory, adaptive=True)
         for scheme in policy.assignments.values():
             assert scheme in SCHEME_NAMES
             make_quantizer(scheme)  # constructible
@@ -87,15 +87,15 @@ class TestDeterminism:
         # a degraded run reconstructs its SynchronousStep (and thus its
         # policy) from the surviving ranks' identical parameter list;
         # the re-derived table must match the original exactly
-        first = AdaptiveBitWidthPolicy.for_layers(Qsgd(4), inventory)
-        second = AdaptiveBitWidthPolicy.for_layers(Qsgd(4), inventory)
+        first = QuantizationPolicy(Qsgd(4), inventory, adaptive=True)
+        second = QuantizationPolicy(Qsgd(4), inventory, adaptive=True)
         assert first.assignments == second.assignments
         assert first.threshold == second.threshold
 
     @settings(max_examples=40, deadline=None)
     @given(inventory=INVENTORIES, seed=st.integers(0, 99))
     def test_refit_is_pure_and_deterministic(self, inventory, seed):
-        policy = AdaptiveBitWidthPolicy.for_layers(Qsgd(4), inventory)
+        policy = QuantizationPolicy(Qsgd(4), inventory, adaptive=True)
         before = dict(policy.assignments)
         profiles = profile_for(inventory, seed)
         refit_a = policy.refit(profiles)
@@ -113,31 +113,30 @@ class TestCheckpointRoundTrip:
         # checkpoints persist {str: str}; restoring the carried table
         # into a freshly derived policy must reproduce the original
         # routing exactly (what checkpoint.restore() does)
-        original = AdaptiveBitWidthPolicy.for_layers(Qsgd(4), inventory)
+        original = QuantizationPolicy(Qsgd(4), inventory, adaptive=True)
         carried = {
             str(name): str(scheme)
             for name, scheme in original.assignments.items()
         }
-        rebuilt = AdaptiveBitWidthPolicy.for_layers(Qsgd(4), inventory)
-        rebuilt.assignments = carried
-        for name, size, _ in inventory:
-            assert (
-                rebuilt.codec_for_layer(name, size).name
-                == original.codec_for_layer(name, size).name
-            )
+        rebuilt = QuantizationPolicy(Qsgd(4), inventory, adaptive=True)
+        rebuilt.adopt(carried)
+        for name, _, _ in inventory:
+            assert rebuilt.table[name].name == original.table[name].name
 
     @settings(max_examples=40, deadline=None)
     @given(inventory=INVENTORIES)
     def test_unassigned_stream_falls_back_to_size_routing(
         self, inventory
     ):
-        policy = AdaptiveBitWidthPolicy.for_layers(Qsgd(4), inventory)
-        # a name outside the table routes by size, like the static policy
-        small = policy.codec_for_layer("__unseen__", 0)
-        if policy.threshold > 0:
-            assert isinstance(small, FullPrecision)
-        big = policy.codec_for_layer("__unseen__", 10**9)
-        assert big is policy.quantizer
+        policy = QuantizationPolicy(Qsgd(4), inventory, adaptive=True)
+        # a layer a carried table does not name routes by size, like
+        # the static policy
+        name, size, _ = inventory[0]
+        policy.adopt({n: s for n, s in policy.assignments.items() if n != name})
+        if size < policy.threshold:
+            assert isinstance(policy.table[name], FullPrecision)
+        else:
+            assert policy.table[name] is policy.quantizer
 
 
 class TestAssignmentShape:
@@ -147,14 +146,14 @@ class TestAssignmentShape:
             ("fc1.W", 50_000, "fc"),
             ("fc1.b", 10, "bias"),
         ]
-        policy = AdaptiveBitWidthPolicy.for_layers(Qsgd(4), inventory)
+        policy = QuantizationPolicy(Qsgd(4), inventory, adaptive=True)
         assert policy.assignments["conv1.W"] == "qsgd8"
         assert policy.assignments["fc1.W"] == "terngrad"
         assert policy.assignments["fc1.b"] == "32bit"
 
     def test_small_fc_keeps_default_scheme(self):
         inventory = [("fc1.W", 64_000, "fc"), ("fc2.W", 2_000, "fc")]
-        policy = AdaptiveBitWidthPolicy.for_layers(Qsgd(4), inventory)
+        policy = QuantizationPolicy(Qsgd(4), inventory, adaptive=True)
         assert policy.assignments["fc1.W"] == "terngrad"
         assert policy.assignments["fc2.W"] == "qsgd4"
 
@@ -163,8 +162,8 @@ class TestAssignmentShape:
             ("conv1.W", 50_000, "conv"),
             ("fc1.W", 500_000, "fc"),
         ]
-        policy = AdaptiveBitWidthPolicy.for_layers(
-            make_quantizer("qsgd8"), inventory
+        policy = QuantizationPolicy(
+            make_quantizer("qsgd8"), inventory, adaptive=True
         )
         profiles = {
             "conv1.W": {"wire_bytes": 10},
@@ -181,11 +180,11 @@ class TestAssignmentShape:
             ("conv1.W", 50_000, "conv"),
             ("fc1.W", 50_000, "fc"),
         ]
-        policy = AdaptiveBitWidthPolicy.for_layers(Qsgd(4), inventory)
+        policy = QuantizationPolicy(Qsgd(4), inventory, adaptive=True)
         rng = np.random.default_rng(0)
         grad = rng.normal(size=256).astype(np.float32)
         for name in ("conv1.W", "fc1.W"):
-            codec = policy.codec_for_layer(name, grad.size)
+            codec = policy.table[name]
             message = codec.encode(grad, np.random.default_rng(1))
             # the codec routing picked is the one the wire tag names
             assert message.scheme == policy.assignments[name]

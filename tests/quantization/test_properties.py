@@ -26,6 +26,8 @@ from repro.quantization import (
     make_quantizer,
 )
 
+from .feedback import feed_back
+
 # Every law below must hold under every kernel backend — the compiled
 # QSGD/bitpack kernels included (notably the error-feedback telescoping
 # identity, which compounds per-step decode results across a stream).
@@ -329,13 +331,14 @@ class TestErrorFeedbackInvariant:
         # each round: corrected = grad + residual_prev, and
         # residual_new = corrected - decoded, so
         # decoded + residual_new == grad + residual_prev (up to fp)
-        feedback = ErrorFeedback(make_quantizer(scheme))
+        codec = make_quantizer(scheme)
+        feedback = ErrorFeedback()
         rng = np.random.default_rng(seed + 1)
         for round_index in range(rounds):
             grad = gradient(shape, seed * 10 + round_index)
-            residual_prev = feedback.residual("w", grad.shape).copy()
-            decoded = feedback.decode(feedback.encode("w", grad, rng))
-            residual_new = feedback.residual("w", grad.shape)
+            residual_prev = feedback.residual("w", grad).copy()
+            decoded = feed_back(feedback, codec, "w", grad, rng)
+            residual_new = feedback.residual("w", grad)
             np.testing.assert_allclose(
                 decoded + residual_new,
                 grad + residual_prev,
@@ -354,16 +357,15 @@ class TestErrorFeedbackInvariant:
     ):
         # sum_t decoded_t == sum_t grad_t - residual_T exactly (up to
         # fp accumulation): the bias cancels over the stream
-        feedback = ErrorFeedback(make_quantizer(scheme))
+        codec = make_quantizer(scheme)
+        feedback = ErrorFeedback()
         rng = np.random.default_rng(seed + 1)
         grads = [gradient((length,), seed * 10 + t) for t in range(5)]
         decoded_sum = np.zeros(length, dtype=np.float64)
         for grad in grads:
-            decoded_sum += feedback.decode(
-                feedback.encode("w", grad, rng)
-            )
+            decoded_sum += feed_back(feedback, codec, "w", grad, rng)
         expected = np.sum(grads, axis=0, dtype=np.float64)
-        expected -= feedback.residual("w", (length,))
+        expected -= feedback.residuals["w"]
         np.testing.assert_allclose(
             decoded_sum, expected, rtol=1e-4, atol=1e-4
         )

@@ -115,5 +115,5 @@ class TestSimulatorMatchesCommLayer:
             params,
         )
         for layer, matrix_cost in zip(spec.layers, cost.matrices):
-            codec = step.policy.codec_for(layer.size)
+            codec = step.policy.table[layer.name]
             assert (codec.name != "32bit") == matrix_cost.quantized
